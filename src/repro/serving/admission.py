@@ -1,7 +1,8 @@
-"""Admission control: backpressure, deadline screening, SLO burn shedding.
+"""Admission policy: backpressure, deadline screening, SLO burn shedding.
 
-Three lines of defence between the drone streams and the batcher queue,
-each of which can be switched off independently (the experiment's
+Three lines of defence between the drone streams and a replica's
+batcher queue, applied by :class:`repro.serving.cluster.
+ClusterSimulator` to every arrival after routing (the experiment's
 ablation axis):
 
 * **backpressure** — a full bounded queue rejects unconditionally;
@@ -17,18 +18,16 @@ ablation axis):
   tripping, incoming requests are shed outright until the burn clears
   — the SRE-style emergency valve that needs no latency model at all.
 
-``AdmissionPolicy.FULL`` (default) stacks all three.
+Backpressure is always on; ``AdmissionPolicy.FULL`` stacks all three.
+A shed is tallied under the first check that fails: ``queue_full``,
+then ``slo_burn``, then ``deadline``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Tuple
 
-from ..errors import BenchmarkError
-from ..obs.slo import BurnWindow, SloObjective, SloPolicy, SloTracker
-from .batcher import MicroBatcher
-from .request import Request, ShedReason
+from ..obs.slo import BurnWindow, SloObjective, SloPolicy
 
 
 class AdmissionPolicy(enum.Enum):
@@ -36,6 +35,14 @@ class AdmissionPolicy(enum.Enum):
     DEADLINE = "deadline"    # + predictive deadline screening
     SLO = "slo"              # + burn-rate shedding (no prediction)
     FULL = "full"            # deadline screening + burn shedding
+
+    @property
+    def screens_deadline(self) -> bool:
+        return self in (AdmissionPolicy.DEADLINE, AdmissionPolicy.FULL)
+
+    @property
+    def sheds_on_burn(self) -> bool:
+        return self in (AdmissionPolicy.SLO, AdmissionPolicy.FULL)
 
 
 def serving_slo_policy(deadline_ms: float, target: float = 0.99,
@@ -54,60 +61,3 @@ def serving_slo_policy(deadline_ms: float, target: float = 0.99,
                                  threshold_ms=deadline_ms),),
         fast=BurnWindow(fast_s, 10.0),
         slow=BurnWindow(slow_s, 2.0))
-
-
-class AdmissionController:
-    """Decides admit/shed per arriving request and tracks SLO burn.
-
-    ``predicted_done_ms`` comes from the simulator (it knows the server
-    timeline); the controller owns the policy logic and the burn-rate
-    state so the decision rule is testable in isolation.
-    """
-
-    def __init__(self, policy: AdmissionPolicy,
-                 batcher: MicroBatcher,
-                 deadline_ms: float,
-                 slo_policy: Optional[SloPolicy] = None) -> None:
-        if deadline_ms <= 0:
-            raise BenchmarkError("deadline must be positive")
-        self.policy = policy
-        self.batcher = batcher
-        self.deadline_ms = float(deadline_ms)
-        self.tracker = SloTracker(slo_policy if slo_policy is not None
-                                  else serving_slo_policy(deadline_ms))
-        self.shed_counts = {reason: 0 for reason in ShedReason}
-
-    # -- completion feedback -------------------------------------------------
-
-    def observe_completion(self, latency_ms: float,
-                           now_ms: float) -> None:
-        """Feed one completed request's latency into the burn windows."""
-        self.tracker.record_latency(latency_ms, now_ms / 1000.0)
-
-    def burning(self, now_ms: float) -> bool:
-        return self.tracker.status(now_ms / 1000.0).burning
-
-    # -- the decision --------------------------------------------------------
-
-    def admit(self, request: Request, predicted_done_ms: float,
-              now_ms: float) -> Tuple[bool, Optional[ShedReason]]:
-        """Admit or shed ``request``; sheds are tallied by reason."""
-        if self.batcher.full:
-            return self._shed(ShedReason.QUEUE_FULL)
-        if self.policy in (AdmissionPolicy.SLO, AdmissionPolicy.FULL) \
-                and self.burning(now_ms):
-            return self._shed(ShedReason.SLO_BURN)
-        if self.policy in (AdmissionPolicy.DEADLINE,
-                           AdmissionPolicy.FULL) \
-                and predicted_done_ms > request.deadline_ms:
-            return self._shed(ShedReason.DEADLINE)
-        return True, None
-
-    def _shed(self, reason: ShedReason
-              ) -> Tuple[bool, Optional[ShedReason]]:
-        self.shed_counts[reason] += 1
-        return False, reason
-
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed_counts.values())

@@ -1,13 +1,16 @@
 """Deadline-aware dynamic micro-batching (the Clipper-style core).
 
 The batcher holds admitted requests in per-stream FIFO queues and
-answers two questions for the event loop:
+answers three questions for the event loop:
 
 * *when* must the next batch leave — immediately once ``max_batch``
   requests are pending, otherwise at the **forced-dispatch time**: the
   latest instant the oldest pending request can still start and meet
   its deadline given the predicted batch execution latency (waiting any
   longer converts it from servable to violated);
+* *must it leave before a newcomer joins* — if growing the pending
+  batch by one more request already pushes its execution past the
+  oldest request's deadline, the batch closes first;
 * *which* requests ride in it — round-robin across streams, oldest
   first within a stream, so one hot stream can never starve the others
   out of a batch (per-stream fairness).
@@ -33,28 +36,21 @@ class MicroBatcher:
     """Bounded FIFO of pending requests with dynamic batch closing.
 
     ``max_batch`` caps batch size (chosen by the caller, typically via
-    ``BatchingModel.best_batch_under_deadline``); ``fixed_batch`` forces
-    every batch to exactly that size until the stream drains (used for
-    cross-validating the simulator against the analytic model);
-    ``capacity`` bounds total pending requests — the backpressure
-    signal admission control reads.
+    ``BatchingModel.best_batch_under_deadline``); ``capacity`` bounds
+    total pending requests — the backpressure signal admission control
+    reads.
     """
 
     def __init__(self, max_batch: int,
                  batch_latency_ms: Callable[[int], float],
-                 capacity: int = 256,
-                 fixed_batch: Optional[int] = None) -> None:
+                 capacity: int = 256) -> None:
         if max_batch < 1:
             raise BenchmarkError(f"max_batch must be >= 1, got {max_batch}")
         if capacity < max_batch:
             raise BenchmarkError(
                 f"queue capacity {capacity} below max_batch {max_batch}")
-        if fixed_batch is not None and not 1 <= fixed_batch <= max_batch:
-            raise BenchmarkError(
-                f"fixed_batch {fixed_batch} outside [1, {max_batch}]")
         self.max_batch = int(max_batch)
         self.capacity = int(capacity)
-        self.fixed_batch = fixed_batch
         self._latency = batch_latency_ms
         self._streams: Dict[int, Deque[Request]] = {}
         self._rr: Deque[int] = deque()      # round-robin stream order
@@ -142,31 +138,33 @@ class MicroBatcher:
 
     # -- dispatch policy -----------------------------------------------------
 
-    def _target_size(self) -> int:
-        return self.fixed_batch if self.fixed_batch is not None \
-            else self.max_batch
-
     def next_dispatch_ms(self, now_ms: float,
                          draining: bool = False) -> float:
         """When the next batch must leave (``inf`` = no batch yet).
 
         ``now_ms`` when a full batch is waiting (or the workload is
         draining and anything is pending); otherwise the oldest
-        request's forced-dispatch time.  In fixed-batch mode partial
-        batches wait for the target size unless draining.
+        request's forced-dispatch time.
         """
         if self._pending == 0:
             return math.inf
-        if self._pending >= self._target_size():
+        if self._pending >= self.max_batch or draining:
             return now_ms
-        if draining:
-            return now_ms
-        if self.fixed_batch is not None:
-            return math.inf
         oldest = self.oldest()
         assert oldest is not None
         exec_ms = self._latency(min(self._pending, self.max_batch))
         return oldest.deadline_ms - exec_ms
+
+    def must_close_before_newcomer(self, now_ms: float) -> bool:
+        """Whether the pending batch must leave before one more request
+        joins it: the batch grown by the newcomer would already finish
+        past the oldest pending request's deadline."""
+        if self._pending == 0:
+            return False
+        oldest = self.oldest()
+        assert oldest is not None
+        grown = min(self._pending + 1, self.max_batch)
+        return oldest.deadline_ms - self._latency(grown) < now_ms
 
     def take_batch(self) -> List[Request]:
         """Form the next batch: round-robin over streams, FIFO within.
@@ -177,7 +175,7 @@ class MicroBatcher:
         """
         if self._pending == 0:
             raise BenchmarkError("take_batch on an empty batcher")
-        size = min(self._target_size(), self._pending)
+        size = min(self.max_batch, self._pending)
         batch: List[Request] = []
         while len(batch) < size:
             stream = self._rr[0]

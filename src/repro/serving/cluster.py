@@ -1,12 +1,23 @@
-"""Fault-tolerant replicated serving: replica pools + failover routing.
+"""Replicated serving: the one serving event loop.
 
-The single-server simulator (:mod:`repro.serving.simulator`) proves
-out deadline-aware micro-batching; this module makes the serving tier
-survive the fault ladder.  A :class:`ReplicaPool` holds N heterogeneous
-servers (model × device per replica, resolved through the existing
+A :class:`ClusterSimulator` runs deadline-aware micro-batching over a
+pool of servers on the injected clock.  One replica is the paper's
+single workstation GPU; more replicas make the tier survive the fault
+ladder.  A :class:`ReplicaSpec` pool holds N heterogeneous servers
+(model × device per replica, resolved through the existing
 registries), each with its own :class:`~repro.serving.batcher.
-MicroBatcher` queue; a :class:`Router` with pluggable policies
-dispatches admitted requests and owns the recovery machinery:
+MicroBatcher` queue.  Batch execution latency comes from
+:meth:`repro.latency.batching.BatchingModel.batch_point`, so the
+simulation cross-validates the analytic model instead of inventing a
+second one.
+
+Every arrival is routed, then admitted or shed by the configured
+:class:`~repro.serving.admission.AdmissionPolicy` (backpressure,
+SLO-burn shedding, predictive deadline screening).  Before the
+admission prediction, an idle target replica closes its pending batch
+if the newcomer would push it past its oldest request's deadline
+(:meth:`MicroBatcher.must_close_before_newcomer`).  The router owns
+the recovery machinery:
 
 * **per-request timeout** — the adaptive-envelope rule from
   :class:`repro.faults.guard.AdaptiveEnvelope` (``envelope × EWMA`` of
@@ -55,7 +66,7 @@ from ..obs import current_telemetry, current_tracer
 from ..obs.slo import SloPolicy, SloTracker
 from ..rng import make_rng
 from ..units import fps_to_period_ms
-from .admission import serving_slo_policy
+from .admission import AdmissionPolicy, serving_slo_policy
 from .batcher import MicroBatcher
 from .request import Request, generate_arrivals
 
@@ -68,7 +79,7 @@ _INF = float("inf")
 SNAPSHOT_SCHEMA = 2
 
 #: Shed/loss reasons tallied by the cluster router.
-SHED_REASONS = ("queue_full", "deadline", "no_replica",
+SHED_REASONS = ("queue_full", "deadline", "slo_burn", "no_replica",
                 "retries_exhausted")
 
 
@@ -117,9 +128,10 @@ class ClusterConfig:
     deadline_slack: float = 1.0
     batch_budget_fraction: float = 0.5
     router: RouterPolicy = RouterPolicy.LEAST_LOADED
-    #: Predictive deadline screening at the door (sheds requests whose
-    #: predicted completion on the chosen replica already misses).
-    admit_deadline: bool = True
+    #: Admission at the door: predictive deadline screening (requests
+    #: whose predicted completion on the chosen replica already misses
+    #: are shed) and/or SLO-burn shedding.
+    policy: AdmissionPolicy = AdmissionPolicy.DEADLINE
     #: Re-dispatch budget per request (crash requeues + timeouts).
     max_retries: int = 4
     backoff_base_ms: float = 2.0
@@ -141,6 +153,9 @@ class ClusterConfig:
         if isinstance(self.router, str):
             object.__setattr__(self, "router",
                                RouterPolicy(self.router))
+        if isinstance(self.policy, str):
+            object.__setattr__(self, "policy",
+                               AdmissionPolicy(self.policy))
         replicas = tuple(self.replicas)
         object.__setattr__(self, "replicas", replicas)
         faults = tuple(self.faults)
@@ -287,6 +302,19 @@ class ClusterReport:
         return 1000.0 * (self.completed - self.violations) \
             / self.makespan_ms
 
+    @property
+    def mean_batch(self) -> float:
+        if not self.batch_sizes:
+            return 0.0
+        return float(np.mean(self.batch_sizes))
+
+    @property
+    def exec_per_frame_ms(self) -> float:
+        """Measured mean batch-execution time per frame (no queueing)."""
+        frames = sum(self.batch_sizes)
+        return sum(self.replica_busy_ms.values()) / frames \
+            if frames else 0.0
+
     def latency_quantile(self, q: float) -> float:
         if not self.latencies_ms:
             return float("nan")
@@ -417,6 +445,11 @@ class ClusterSimulator:
             envelope=cfg.timeout_envelope,
             floor_ms=cfg.timeout_floor_deadlines * self.deadline_ms)
         self._rng = make_rng(cfg.seed, "serving", "downtime")
+        #: Burn-rate windows over completed latency (burn-shedding
+        #: policies only); rebuilt from the report on restore.
+        self._slo: Optional[SloTracker] = SloTracker(
+            serving_slo_policy(self.deadline_ms)) \
+            if cfg.policy.sheds_on_burn else None
         if arrivals is None:
             self._arrivals = generate_arrivals(
                 cfg.num_streams, cfg.frame_rate, cfg.duration_s,
@@ -842,6 +875,8 @@ class ClusterSimulator:
             if won_hedge:
                 report.hedge_wins += 1
             self._envelope.observe(e2e)
+            if self._slo is not None:
+                self._slo.record_latency(e2e, t / 1000.0)
             if meta["crash_event"] is not None:
                 ev = s["crash_events"][meta["crash_event"]]
                 ev["last_done"] = t if ev["last_done"] is None \
@@ -931,9 +966,21 @@ class ClusterSimulator:
             report.per_stream_shed[req.stream] += 1
             return
         target = self._choose(routable, t)
-        if self.config.admit_deadline \
+        rep = s["replicas"][target]
+        # An idle target ships its pending batch first when the
+        # newcomer would make it miss its oldest request's deadline.
+        if rep["in_flight"] is None \
+                and rep["batcher"].must_close_before_newcomer(t):
+            self._on_dispatch(t, target, _key)
+        reason = None
+        if self._slo is not None \
+                and self._slo.status(t / 1000.0).burning:
+            reason = "slo_burn"
+        elif self.config.policy.screens_deadline \
                 and self.predicted_done_ms(target, t) > req.deadline_ms:
-            report.shed["deadline"] += 1
+            reason = "deadline"
+        if reason is not None:
+            report.shed[reason] += 1
             report.per_stream_shed[req.stream] += 1
             return
         report.admitted += 1
@@ -1168,4 +1215,10 @@ class ClusterSimulator:
         }
         sim._rng.bit_generator.state = snap["rng"]
         sim._envelope.baseline = snap["envelope_baseline"]
+        if sim._slo is not None:
+            # The burn windows are a pure function of the completion
+            # stream, so replaying it needs no snapshot field.
+            for e2e, done in zip(report.latencies_ms,
+                                 report.completion_ms):
+                sim._slo.record_latency(e2e, done / 1000.0)
         return sim

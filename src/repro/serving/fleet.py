@@ -46,7 +46,7 @@ from ..obs.slo import SloTracker
 from ..obs.tracer import current_tracer
 from ..rng import make_rng, seed_sequence
 from ..units import fps_to_period_ms
-from .admission import serving_slo_policy
+from .admission import AdmissionPolicy, serving_slo_policy
 from .cluster import (SHED_REASONS, ClusterConfig, ClusterReport,
                       ClusterSimulator, ReplicaSpec, RouterPolicy)
 from .request import Request, generate_arrivals
@@ -141,7 +141,7 @@ class FleetSimConfig:
     deadline_ms: Optional[float] = None
     deadline_slack: float = 1.0
     router: RouterPolicy = RouterPolicy.LEAST_LOADED
-    admit_deadline: bool = True
+    policy: AdmissionPolicy = AdmissionPolicy.DEADLINE
     max_retries: int = 4
     arrival_jitter_ms: float = 0.0
     ramp: Tuple[float, ...] = (1.0,)
@@ -154,6 +154,9 @@ class FleetSimConfig:
         if isinstance(self.router, str):
             object.__setattr__(self, "router",
                                RouterPolicy(self.router))
+        if isinstance(self.policy, str):
+            object.__setattr__(self, "policy",
+                               AdmissionPolicy(self.policy))
         object.__setattr__(self, "replicas_per_cell",
                            tuple(self.replicas_per_cell))
         object.__setattr__(self, "ramp",
@@ -270,7 +273,7 @@ def cluster_config_for_cell(cfg: FleetSimConfig,
         duration_s=cfg.duration_s,
         deadline_ms=cfg.resolved_deadline_ms,
         router=cfg.router,
-        admit_deadline=cfg.admit_deadline,
+        policy=cfg.policy,
         max_retries=cfg.max_retries,
         faults=plan.get(cell, ()),
         seed=_cell_seed(cfg, cell))

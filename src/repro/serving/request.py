@@ -11,21 +11,12 @@ function of the workload parameters and the seed.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import BenchmarkError
 from ..rng import make_rng
 from ..units import fps_to_period_ms
-
-
-class ShedReason(enum.Enum):
-    """Why admission control turned a request away."""
-
-    QUEUE_FULL = "queue_full"        # bounded queue backpressure
-    DEADLINE = "deadline"            # predicted completion past deadline
-    SLO_BURN = "slo_burn"            # burn-rate-driven load shedding
 
 
 @dataclass(frozen=True)

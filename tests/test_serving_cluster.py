@@ -267,7 +267,7 @@ class TestChaosInvariants:
         faults = (FaultSpec(FaultKind.SERVER_SLOWDOWN, replica=0,
                             start_ms=1000.0, end_ms=8000.0,
                             magnitude=8.0),)
-        s = run_summary(faults=faults, admit_deadline=False)
+        s = run_summary(faults=faults, policy="none", num_streams=16)
         assert s["timeout_reroutes"] > 0
         assert s["lost_requests"] == 0
 
@@ -275,8 +275,8 @@ class TestChaosInvariants:
         faults = (FaultSpec(FaultKind.SERVER_SLOWDOWN, replica=0,
                             start_ms=2000.0, end_ms=6000.0,
                             magnitude=4.0),)
-        plain = run_summary(faults=faults, admit_deadline=False)
-        hedged = run_summary(faults=faults, admit_deadline=False,
+        plain = run_summary(faults=faults, policy="none")
+        hedged = run_summary(faults=faults, policy="none",
                              hedge_quantile=0.95)
         assert hedged["hedged"] > 0
         assert hedged["hedge_wins"] > 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+import textwrap
 
 from repro.bench.experiments.registry import (FAST_EXPERIMENTS,
                                               run_experiment)
@@ -80,26 +81,59 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   trajectory point: bench_trajectory/BENCH_ci.json
     fleet/e2e@adaptive: n=400 p50=31.72 p95=31.72 p99=31.72
     latency/yolov8-n@orin-nano: n=150 p50=32.37 p95=35.07 p99=36.59
+    serving/e2e@32x-full: n=808 p50=74.97 p95=97.50 p99=99.50
   no p99 regression vs bench_trajectory/BENCH_baseline.json (tolerance 10%)
   ```
 
   Points embed no timestamps, so the same tree writes byte-identical
   files; CI compares every push against the committed
   ``BENCH_baseline.json`` and fails on a >10 % p99 regression.  The
-  suite includes two serving probes — admitted-request e2e latency at
-  2× overload with predictive shedding, and the saturated fixed-batch
-  per-frame execution time — so regressions in the batcher or the
-  admission path trip the p99 gate too.
+  suite includes two one-replica serving probes — admitted-request e2e
+  latency at 2× overload with predictive shedding, and the per-frame
+  execution time of a saturated replica with batches capped at 8 — so
+  regressions in the batcher or the admission path trip the p99 gate
+  too, plus the merged e2e tail of the cell-sharded fleet
+  (``fleet/merged_e2e@4c``, golden-safe because the merge is
+  shard-count invariant).  ``--wallclock`` adds the
+  ``fleet/shard_wallclock@{1,4}w`` probes — real elapsed time for the
+  same fleet at 1 vs 4 worker shards; being machine-speed
+  measurements they are never regression-gated and should not be
+  committed in the baseline.
 
 * ``python -m repro serve-sim [--streams N --policy P --check]`` runs
   the dynamic-batching serving simulator (``repro.serving``,
-  ``exp_serving`` above) standalone and prints the full report —
-  admitted fraction, shed-by-reason counts, per-stream completion
-  spread, latency percentiles, batch-size distribution, and a live
-  cross-check of the measured per-frame execution time against
-  ``BatchingModel.batch_point``.  With ``--check`` it exits non-zero
-  if request conservation or the deadline SLO fails, which is how CI
-  smokes the serving path.
+  ``exp_serving`` above) standalone on one replica (``--replicas N``
+  for a pool) and prints the full report — admitted fraction,
+  shed-by-reason counts, latency percentiles, goodput, and the mean
+  batch size.  With ``--check`` it exits non-zero if request
+  conservation fails, an admitted request is lost, or — for a
+  fault-free run whose policy screens deadlines — the deadline SLO
+  fails, which is how CI smokes the serving path.  ``--cells N`` (or
+  ``--shards``/``--autoscale``, which imply it) switches to the
+  sharded fleet simulator: streams partition into cells by stable
+  hash, each cell runs its own replica pool, ``--shards N`` fans the
+  cells over N worker processes, and ``--autoscale`` turns on the
+  SLO-burn autoscaler (``--epoch-s``, ``--max-replicas``,
+  ``--ramp 1,3,1`` shape the scaling run).  In fleet mode ``--check`` additionally
+  reruns the fleet single-shard and fails on any byte difference in
+  the merged metrics — the shard-count invariance gate CI runs.
+
+* ``python -m repro profile [targets...]`` is the hotspot twin of
+  bench-track: it runs its targets (experiment ids and/or the
+  ``nn_forward`` / ``fleet_cells`` probes) under the deterministic
+  tick clock and attributes time to canonical span paths instead of
+  probe-level percentiles.  The committed baseline at
+  ``profile_baseline/PROFILE_baseline.json`` captures the default
+  target set — ``ablation_pipeline`` (renderer rasterization),
+  ``exp_serving`` (one-replica serving event loop), ``fleet_cells``
+  (fleet merge and cluster loop) and ``nn_forward`` (conv
+  im2col/GEMM) — and is byte-stable across machines, reruns and
+  shard counts, so CI runs ``repro profile --diff
+  profile_baseline/PROFILE_baseline.json <head>`` on every push and fails when any tracked path's self-time
+  p50 regresses more than 10 %.  Regenerate after intentional
+  hot-path changes with ``python -m repro profile --out
+  profile_baseline/PROFILE_baseline.json`` (the
+  ``tests/test_profile.py`` freshness golden will remind you).
 """
 
 ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
@@ -108,7 +142,69 @@ ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
          "ablation_adaptive", "ablation_efficiency",
          "ablation_precision", "ablation_fleet", "ablation_strata",
          "ablation_chaos", "ablation_severity", "ablation_multimodal",
-         "ablation_percategory", "exp_serving"]
+         "ablation_percategory", "exp_serving", "exp_serving_chaos",
+         "exp_fleet_scale"]
+
+#: Prose between an experiment's heading and its table.
+INTROS = {
+    "exp_serving_chaos": """\
+Runs the replicated serving tier (`repro.serving.cluster`) through the
+canned server-fault ladder — a replica crash with a seeded restart
+downtime plus a 3× thermal-throttle window — and machine-checks the
+fault-tolerance story: requeue-on-crash loses work but never admitted
+requests, deadline-aware (`fastest`) routing routes around the
+throttled replica where load-aware routing sheds at the door,
+quantile-triggered hedging wins races on the healthy replica, and the
+event loop checkpoint (`snapshot()` → JSON → `restore()` →
+`resume()`) reproduces the uninterrupted run byte-for-byte.""",
+    "exp_fleet_scale": """\
+Partitions an 18-stream fleet into 4 cells of Jetson Orin Nano replica
+pools (`repro.serving.fleet`), runs each cell's event loop as an
+independent shard, and merges the per-cell results through the
+canonical sorted-cell fold of the `obs.sketch` merge algebra.  The
+load-bearing claim is **shard-count invariance**: the merged fleet
+metrics — p99, goodput, availability, every conservation counter —
+are byte-identical whether the cells run in one process or fan out
+over 4 `parallel_map` workers, for both the flat and the autoscaled
+runs.  On top of that, a 3× square-wave load ramp exercises the
+burn-rate autoscaler: it grows each cell's pool to the static-peak
+size for the peak and drains it afterwards without flapping.""",
+}
+
+
+def _chaos_outro(m: dict) -> str:
+    return (
+        f"The failover recovery time ({m['failover_recovery_ms']:.2f} ms "
+        "from crash to the last requeued victim completing on the "
+        f"surviving replica) is {m['mttr_ms'] / m['failover_recovery_ms']:.0f}"
+        "× shorter than the crash downtime itself (MTTR "
+        f"{m['mttr_ms']:.0f} ms) — the router drains the dead replica's "
+        "backlog long before the replica returns.")
+
+
+def _fleet_outro(m: dict) -> str:
+    gain = 100.0 * (m["autoscaled_goodput_fps"]
+                    / m["static_min_goodput_fps"] - 1.0)
+    share = 100.0 * (m["autoscaled_replica_seconds"]
+                     / m["static_peak_replica_seconds"])
+    return (
+        f"The autoscaled fleet serves {gain:.0f} % more goodput than "
+        f"static minimal provisioning ({m['autoscaled_goodput_fps']:.1f} "
+        f"vs {m['static_min_goodput_fps']:.1f} fps, shedding "
+        f"{m['autoscaled_shed']:.0f} instead of "
+        f"{m['static_min_shed']:.0f} requests) at {share:.0f} % of static "
+        "peak provisioning's replica-seconds "
+        f"({m['autoscaled_replica_seconds']:.0f} vs "
+        f"{m['static_peak_replica_seconds']:.0f}) — the reaction lag at "
+        "the ramp edge is the price of not paying for the peak around "
+        "the clock.  Because the autoscaler's decisions are a pure "
+        "function of the canonically merged telemetry, the decision "
+        "trace itself is part of the byte-identity claim.")
+
+
+#: Prose after an experiment's tables, built from its measurements.
+OUTROS = {"exp_serving_chaos": _chaos_outro,
+          "exp_fleet_scale": _fleet_outro}
 
 
 def main() -> None:
@@ -123,8 +219,16 @@ def main() -> None:
             kwargs = {"train_images": 140, "eval_images": 56,
                       "epochs": 20}
         result = run_experiment(eid, **kwargs)
-        blocks.append(result.to_markdown())
+        block = result.to_markdown()
+        if eid in INTROS:
+            head, body = block.split("\n\n", 1)
+            block = f"{head}\n\n{INTROS[eid]}\n\n{body}"
+        blocks.append(block)
         blocks.append("")
+        if eid in OUTROS:
+            blocks.append(textwrap.fill(OUTROS[eid](result.measured),
+                                        width=70))
+            blocks.append("")
         if eid in FAST_EXPERIMENTS:
             assert result.all_claims_hold, result.failed_claims()
 
