@@ -14,7 +14,7 @@ Two rule families (see :mod:`repro.analysis.determinism` and
   swallowed exceptions;
 * **RL1xx repo contract** — cross-artifact checks: experiment ↔
   golden ↔ EXPERIMENTS.md coverage, CLI ↔ README coverage, telemetry
-  metric naming.
+  stage naming.
 
 Entry points: ``repro lint [--strict] [--json] [paths...]`` on the
 command line, :func:`lint_paths` from code.  Violations are silenced

@@ -9,8 +9,8 @@ cross-check the artifacts the reproduction's credibility rests on:
 RL101     every registered experiment has a golden, an EXPERIMENTS.md
           entry and at least one machine-checked claim
 RL102     every CLI subcommand is documented in README.md
-RL103     telemetry/metric names are unique and follow the
-          ``stage.metric`` convention
+RL103     telemetry stage labels passed to ``bus.emit`` are one
+          lowercase token
 RL104     a ``profile`` CLI subcommand ships with a valid committed
           profile baseline (``profile_baseline/PROFILE_baseline.json``)
 ========  ==========================================================
@@ -30,9 +30,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .rules import (RepoContext, Rule, SourceFile, Violation,
                     register)
-
-#: ``stage.metric`` — lowercase dotted, at least two segments.
-METRIC_NAME_FORM = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 #: Telemetry stage labels: one lowercase token.
 STAGE_NAME_FORM = re.compile(r"^[a-z0-9_-]+$")
@@ -230,67 +227,39 @@ def _subcommands(tree: ast.Module) -> List[Tuple[str, int]]:
 
 @register
 class TelemetryNamingRule(Rule):
-    """RL103 — metric names: unique, ``stage.metric``-shaped.
+    """RL103 — telemetry stage labels: one lowercase token.
 
-    Dashboards and the SLO tracker key on metric-name strings; a typo
-    or a counter/histogram name collision silently splits one signal
-    into two.  Registry metrics must be dotted ``stage.metric``
-    (``guard.retries``); telemetry stage labels must be one lowercase
-    token (``e2e``, ``detect``).
+    Dashboards and the SLO tracker key on the stage string passed to
+    ``bus.emit(device, stage, ...)``; a typo or a spaced, capitalised
+    label silently splits one signal into two.  Stage labels must be
+    one lowercase token (``e2e``, ``detect``).
     """
 
     rule_id = "RL103"
-    title = "telemetry metric naming violation"
-    rationale = ("metric-name typos and kind collisions split "
-                 "signals; enforce stage.metric and uniqueness")
+    title = "telemetry stage naming violation"
+    rationale = ("stage-label typos split one dashboard/SLO signal "
+                 "into two; enforce one lowercase token")
     scope = "repo"
 
-    metric_kinds = frozenset({"counter", "gauge", "histogram"})
-
-    #: Files defining the metrics/telemetry machinery itself, where
-    #: the kind methods take caller-supplied names.
-    allowlist: Tuple[str, ...] = ("obs/metrics.py", "obs/telemetry.py")
+    #: The bus itself, whose ``emit`` takes caller-supplied stages.
+    allowlist: Tuple[str, ...] = ("obs/telemetry.py",)
 
     def check_repo(self, ctx: RepoContext) -> Iterator[Violation]:
-        seen: Dict[str, Tuple[str, str, int]] = {}
         for rel in sorted(ctx.files):
             if any(rel.endswith(sfx) for sfx in self.allowlist):
                 continue
-            src = ctx.files[rel]
-            for node in ast.walk(src.tree):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)):
-                    continue
-                attr = node.func.attr
-                if attr in self.metric_kinds and node.args and \
-                        isinstance(node.args[0], ast.Constant) and \
-                        isinstance(node.args[0].value, str):
-                    name = node.args[0].value
-                    if not METRIC_NAME_FORM.match(name):
-                        yield self.violation(
-                            rel, node.lineno, node.col_offset,
-                            f"metric name {name!r} does not follow "
-                            f"the 'stage.metric' convention "
-                            f"(lowercase dotted)")
-                    elif name in seen and seen[name][0] != attr:
-                        kind, where, line = seen[name]
-                        yield self.violation(
-                            rel, node.lineno, node.col_offset,
-                            f"metric {name!r} registered as "
-                            f"{attr} here but as {kind} at "
-                            f"{where}:{line}")
-                    else:
-                        seen.setdefault(name, (attr, rel,
-                                               node.lineno))
-                elif attr == "emit" and len(node.args) >= 2 and \
+            for node in ast.walk(ctx.files[rel].tree):
+                if isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Attribute) and \
+                        node.func.attr == "emit" and \
+                        len(node.args) >= 2 and \
                         isinstance(node.args[1], ast.Constant) and \
-                        isinstance(node.args[1].value, str):
-                    stage = node.args[1].value
-                    if not STAGE_NAME_FORM.match(stage):
-                        yield self.violation(
-                            rel, node.lineno, node.col_offset,
-                            f"telemetry stage {stage!r} is not a "
-                            f"single lowercase token")
+                        isinstance(node.args[1].value, str) and \
+                        not STAGE_NAME_FORM.match(node.args[1].value):
+                    yield self.violation(
+                        rel, node.lineno, node.col_offset,
+                        f"telemetry stage {node.args[1].value!r} is "
+                        f"not a single lowercase token")
 
 
 @register

@@ -52,8 +52,7 @@ def golden_path(experiment_id: str, golden_dir: str = "") -> str:
 def result_snapshot(result: ExperimentResult) -> dict:
     """The JSON-able subset of an experiment result worth pinning.
 
-    ``elapsed_s`` and ``metrics`` are wall-clock-dependent and excluded
-    by design.
+    ``elapsed_s`` is wall-clock-dependent and excluded by design.
     """
     return jsonable({
         "experiment_id": result.experiment_id,

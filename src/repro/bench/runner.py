@@ -30,10 +30,6 @@ class ExperimentResult:
     paper_reference: Dict[str, float] = field(default_factory=dict)
     measured: Dict[str, float] = field(default_factory=dict)
     elapsed_s: float = 0.0
-    #: Metrics snapshot from the run's tracer (empty when tracing off).
-    #: Deliberately excluded from :meth:`to_markdown` so rendered
-    #: reports stay byte-identical run to run (the golden contract).
-    metrics: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def all_claims_hold(self) -> bool:
@@ -80,8 +76,7 @@ class ExperimentRunner:
     Every run executes inside a root span on the runner's tracer (the
     ambient one unless ``tracer`` is given), so instrumented code deeper
     in the stack — the VIP pipeline, the stage guard, the parallel
-    fan-out — lands under one tree per experiment.  The tracer's
-    metrics snapshot is attached to the returned result.
+    fan-out — lands under one tree per experiment.
     """
 
     def __init__(self, experiments: Dict[str, ExperimentFn],
@@ -111,7 +106,6 @@ class ExperimentRunner:
             result.elapsed_s = time.perf_counter() - start
             root.set_attr("elapsed_s", result.elapsed_s)
             root.set_attr("claims_hold", result.all_claims_hold)
-        result.metrics = tracer.metrics.snapshot()
         if enforce_claims:
             result.require_claims()
         return result

@@ -6,10 +6,11 @@ Commands:
 * ``run <experiment-id> [...]`` — run experiments and print their
   markdown reports (claims are enforced unless ``--no-enforce``);
 * ``trace <experiment-id>`` — run one experiment under the span
-  tracer; print the aggregated span tree (inclusive/exclusive wall
-  times) and write a Chrome ``trace_event`` JSON file; ``--json``
-  prints the same span-closure records as a machine-readable profile
-  document (the schema ``repro profile`` writes) instead of the table;
+  tracer and the telemetry bus; print the wall-clock hotspot profile
+  (per-path total/self times), per-name span-event counts and the
+  whole-run telemetry percentiles, and write a Chrome ``trace_event``
+  JSON file; ``--json`` prints the same profile as a machine-readable
+  document (the schema ``repro profile`` writes) instead of the tables;
 * ``profile [target ...]`` — run targets (experiment ids or the
   ``nn_forward``/``fleet_cells`` probes) under the deterministic tick
   clock, print the ranked hotspot table and write the profile JSON
@@ -101,46 +102,49 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from collections import Counter
     from .bench.experiments.registry import run_experiment
     from .io.jsonio import dumps_json
-    from .obs import (Tracer, aggregate_tree, build_profile,
-                      exclusive_total_s, profile_document, render_tree,
+    from .obs import (Aggregator, TelemetryBus, Tracer, build_profile,
+                      profile_document, render_profile, use_telemetry,
                       use_tracer, write_chrome_trace,
                       write_spans_jsonl)
+    from .obs.profile import PATH_SEP
     tracer = Tracer()
-    with use_tracer(tracer):
-        result = run_experiment(args.experiment,
-                                enforce_claims=args.enforce)
+    bus = TelemetryBus(record=False)
+    with use_tracer(tracer), use_telemetry(bus):
+        run_experiment(args.experiment, enforce_claims=args.enforce)
     spans = tracer.finished_spans()
+    # Wall-clock profile: the span-closure records behind both views.
+    profile = build_profile(spans, quantize=False)
     if args.json:
-        # The same span-closure records the table prints, in the
-        # profile-document schema (wall-clock, so ungateable).
-        profile = build_profile(spans, quantize=False)
         print(dumps_json(profile_document(
             profile, targets=[args.experiment], deterministic=False)))
     else:
-        print(render_tree(spans))
+        print(render_profile(profile))
 
-        roots = aggregate_tree(spans)
-        incl = sum(r.inclusive_s for r in roots)
-        excl = sum(exclusive_total_s(r) for r in roots)
+        incl = sum(stats.total_ms for path, stats in profile.paths.items()
+                   if PATH_SEP not in path)
+        excl = profile.total_self_ms()
         closure = 100.0 * excl / incl if incl > 0 else float("nan")
-        print(f"\nroot inclusive: {incl * 1e3:.2f} ms; "
-              f"exclusive sum: {excl * 1e3:.2f} ms "
+        print(f"\nroot inclusive: {incl:.2f} ms; "
+              f"exclusive sum: {excl:.2f} ms "
               f"({closure:.2f}% closure)")
 
-        if result.metrics:
-            print("\nMetrics:")
-            for name, snap in result.metrics.items():
-                if snap.get("type") == "histogram":
-                    quantiles = " ".join(
-                        f"{k}={snap[k]:.3f}" for k in snap
-                        if k[:1] == "p"
-                        and k[1:].replace(".", "", 1).isdigit())
-                    print(f"  {name}: n={snap['count']} "
-                          f"mean={snap['mean']:.3f} {quantiles}")
-                else:
-                    print(f"  {name}: {snap.get('value')}")
+        events = Counter(ev.name for sp in spans for ev in sp.events)
+        if events:
+            print("\nSpan events:")
+            for name in sorted(events):
+                print(f"  {name}: {events[name]}")
+
+        # Whole-run rollup, so the time argument is ignored.
+        stages = Aggregator(bus).fleet(0.0, windowed=False)
+        if stages:
+            print("\nTelemetry (whole run, all devices):")
+            for stage, snap in stages.items():
+                print(f"  {stage}: n={snap['count']} "
+                      f"mean={snap['mean']:.3f} p50={snap['p50']:.3f} "
+                      f"p95={snap['p95']:.3f} p99={snap['p99']:.3f}")
 
     out = args.out if args.out else os.path.join(
         "traces", f"{args.experiment}_trace.json")

@@ -317,7 +317,6 @@ class VipPipeline:
         """Count a fallback activation and attach it to the trace."""
         report._bump(report.fallback_activations, kind)
         tracer.event("fallback", kind=kind)
-        tracer.metrics.counter("pipeline.fallbacks").inc()
 
     def run(self, frames: Sequence) -> PipelineReport:
         """Process rendered frames arriving at the configured rate."""
@@ -332,6 +331,7 @@ class VipPipeline:
             report = self._run_loop(frames, tracer)
             root.set_attr("frames_processed", report.frames_processed)
             root.set_attr("frames_dropped", report.frames_dropped)
+            root.set_attr("alerts", len(report.alerts))
         return report
 
     def _run_loop(self, frames: Sequence,
@@ -354,12 +354,6 @@ class VipPipeline:
         bus = current_telemetry()
         slo_tracker = SloTracker(self.slo) if self.slo is not None \
             else None
-        metrics = tracer.metrics
-        frame_latency_hist = metrics.histogram(
-            "pipeline.frame_latency_ms")
-        dropped_counter = metrics.counter("pipeline.frames_dropped")
-        processed_counter = metrics.counter("pipeline.frames_processed")
-        alert_counter = metrics.counter("pipeline.alerts")
 
         for i, frame in enumerate(frames):
             arrival = i * period
@@ -367,7 +361,6 @@ class VipPipeline:
             report.frames_offered += 1
             if arrival < busy_until:
                 report.frames_dropped += 1
-                dropped_counter.inc()
                 health.idle_tick()       # no fresh guidance this frame
                 if slo_tracker is not None:
                     # A dropped frame is stale guidance: an
@@ -389,8 +382,6 @@ class VipPipeline:
                     frame, i, processed_i, lat, executor, health,
                     report, tracer, prev_track_id, shedding,
                     arrival_s, bus, slo_tracker)
-            frame_latency_hist.observe(total_ms)
-            processed_counter.inc()
             busy_until = arrival + total_ms
             processed_i += 1
             if res.enabled and res.load_shedding \
@@ -399,7 +390,6 @@ class VipPipeline:
                 tracer.event("load_shed_enter", frame=i,
                              until=shed_until)
 
-        alert_counter.inc(len(report.alerts))
         report.frames_by_state = dict(health.frames_in_state)
         report.recovery_frames = list(health.recovery_frames)
         if inj is not None:
@@ -427,8 +417,7 @@ class VipPipeline:
         res = self.resilience
         inj = self.injector
         # The disabled-tracer path skips span creation entirely at each
-        # stage site: the null objects are cheap but not free, and the
-        # latency benches hold this loop to < 2% instrumentation cost.
+        # stage site: the null objects are cheap but not free.
         traced = tracer.enabled
         seen = inj.apply_to_frame(frame, i) if inj is not None \
             else frame

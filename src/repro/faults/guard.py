@@ -230,7 +230,6 @@ class StageExecutor:
         if link_down:
             # The request stalls until the client deadline fires.
             tracer.event("link_down", stage=stage, frame=frame_index)
-            tracer.metrics.counter("guard.link_down").inc()
             return StageOutcome(
                 stage, StageStatus.LINK_DOWN,
                 cost_ms=res.link_timeout_periods * self.period_ms)
@@ -245,7 +244,6 @@ class StageExecutor:
                 tracer.event("watchdog_timeout", stage=stage,
                              frame=frame_index, timeout_ms=timeout,
                              cost_ms=attempt_cost)
-                tracer.metrics.counter("guard.timeouts").inc()
                 return StageOutcome(stage, StageStatus.TIMED_OUT,
                                     cost_ms=cost + timeout,
                                     attempts=attempts)
@@ -271,7 +269,6 @@ class StageExecutor:
                 cost += attempt_cost * res.retry_cost_factor
                 tracer.event("stage_retry", stage=stage,
                              frame=frame_index, attempt=attempt + 1)
-                tracer.metrics.counter("guard.retries").inc()
                 continue
             self._observe(stage, attempt_cost)
             return StageOutcome(stage, StageStatus.OK, value=value,
@@ -279,7 +276,6 @@ class StageExecutor:
                                 attempts=attempts)
         tracer.event("stage_crashed", stage=stage, frame=frame_index,
                      attempts=attempts)
-        tracer.metrics.counter("guard.crashes").inc()
         return StageOutcome(stage, StageStatus.CRASHED, cost_ms=cost,
                             attempts=attempts)
 

@@ -1,4 +1,4 @@
-"""Observability layer: span tracing, metrics, telemetry, SLOs.
+"""Observability layer: span tracing, profiles, telemetry, SLOs.
 
 The harness-wide contract:
 
@@ -6,11 +6,16 @@ The harness-wide contract:
   :func:`current_telemetry` at run time and default to the no-op
   :data:`NULL_TRACER` / :data:`NULL_TELEMETRY` — observability is
   opt-in and free when off;
-* ``with use_tracer(Tracer()) as t:`` turns every span/metric emitted
-  underneath into data on ``t``; ``with use_telemetry(TelemetryBus())``
-  does the same for per-frame telemetry samples;
+* ``with use_tracer(Tracer()) as t:`` turns every span and span event
+  emitted underneath into data on ``t``; ``with
+  use_telemetry(TelemetryBus())`` does the same for per-frame telemetry
+  samples.  Spans time the work, span events and attributes count what
+  happened, the bus carries latency distributions — each fact has one
+  channel;
 * finished traces export as JSON-lines or Chrome ``trace_event`` files
-  and print as an aggregated span tree (``python -m repro trace``);
+  and aggregate into per-path hotspot profiles (:mod:`repro.obs.
+  profile`, printed by ``python -m repro trace`` and ``repro
+  profile``);
 * telemetry aggregates into mergeable sliding-window quantile sketches
   (:mod:`repro.obs.sketch`), rolls up across the fleet
   (:class:`Aggregator`), is judged against SLO burn-rate policies
@@ -18,23 +23,20 @@ The harness-wide contract:
   (``python -m repro monitor``).
 """
 
-from .metrics import (DEFAULT_BUCKETS_MS, DEFAULT_QUANTILES, Counter,
-                      Gauge, Histogram, MetricsRegistry, NULL_METRICS,
-                      NullMetricsRegistry, interpolated_quantile,
-                      quantile_key)
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span,
                      SpanEvent, TraceContext, Tracer, current_tracer,
                      default_clock, record_event, use_tracer)
-from .export import (aggregate_tree, chrome_trace, exclusive_total_s,
-                     render_tree, spans_to_jsonl_rows,
+from .export import (chrome_trace, spans_to_jsonl_rows,
                      write_chrome_trace, write_spans_jsonl)
 from .profile import (DEFAULT_MAX_REGRESS_PCT, DEFAULT_MIN_SELF_MS,
                       PROFILE_SCHEMA, PathStats, Profile, TickClock,
                       build_profile, diff_profiles, folded_stacks,
                       load_profile_document, profile_document,
                       profile_regressions, render_profile, span_paths)
-from .sketch import (DEFAULT_BUFFER_CAP, QuantileSketch, SlidingWindow,
-                     WindowedCounter, WindowedSketch)
+from .sketch import (DEFAULT_BUCKETS_MS, DEFAULT_BUFFER_CAP,
+                     DEFAULT_QUANTILES, QuantileSketch, SlidingWindow,
+                     WindowedCounter, WindowedSketch,
+                     interpolated_quantile, quantile_key)
 from .telemetry import (Aggregator, NULL_TELEMETRY, NullTelemetryBus,
                         TelemetryBus, TelemetrySample,
                         current_telemetry, use_telemetry)
@@ -43,22 +45,19 @@ from .slo import (BurnWindow, ObjectiveStatus, REALTIME_BUDGET_MS,
 from .dashboard import DashboardFrame, MonitorSession, SLO_STAGE
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "NullMetricsRegistry", "NULL_METRICS", "DEFAULT_BUCKETS_MS",
-    "DEFAULT_QUANTILES", "interpolated_quantile", "quantile_key",
     "Span", "SpanEvent", "TraceContext", "Tracer", "NullTracer",
     "NULL_SPAN", "NULL_TRACER", "current_tracer", "use_tracer",
     "record_event", "default_clock",
-    "aggregate_tree", "chrome_trace", "exclusive_total_s",
-    "render_tree", "spans_to_jsonl_rows", "write_chrome_trace",
+    "chrome_trace", "spans_to_jsonl_rows", "write_chrome_trace",
     "write_spans_jsonl",
     "DEFAULT_MAX_REGRESS_PCT", "DEFAULT_MIN_SELF_MS",
     "PROFILE_SCHEMA", "PathStats", "Profile", "TickClock",
     "build_profile", "diff_profiles", "folded_stacks",
     "load_profile_document", "profile_document",
     "profile_regressions", "render_profile", "span_paths",
-    "DEFAULT_BUFFER_CAP", "QuantileSketch", "SlidingWindow",
-    "WindowedCounter", "WindowedSketch",
+    "DEFAULT_BUCKETS_MS", "DEFAULT_BUFFER_CAP", "DEFAULT_QUANTILES",
+    "QuantileSketch", "SlidingWindow", "WindowedCounter",
+    "WindowedSketch", "interpolated_quantile", "quantile_key",
     "Aggregator", "NULL_TELEMETRY", "NullTelemetryBus",
     "TelemetryBus", "TelemetrySample", "current_telemetry",
     "use_telemetry",

@@ -35,6 +35,7 @@ golden-able artifacts a CI gate can byte-compare:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SerializationError
@@ -52,6 +53,15 @@ FOLDED_SEP = ";"
 
 #: Quantiles surfaced per path (p50 is the gated one).
 PROFILE_QUANTILES = (0.50, 0.95, 0.99)
+
+#: Per-path row fields of a profile document, by value kind (what
+#: :meth:`PathStats.to_dict` writes and :func:`load_profile_document`
+#: checks): non-negative int counts, non-negative finite time sums, and
+#: self-time summaries that are finite or null (null for an empty path).
+COUNT_FIELDS = ("count", "events")
+TIME_FIELDS = ("total_ms", "self_ms")
+SUMMARY_FIELDS = ("self_mean_ms", "self_min_ms", "self_max_ms") + tuple(
+    f"self_p{int(q * 100)}_ms" for q in PROFILE_QUANTILES)
 
 #: Default diff-gate tolerance on self-time p50, in percent.
 DEFAULT_MAX_REGRESS_PCT = 10.0
@@ -316,8 +326,38 @@ def profile_document(profile: Profile,
     }
 
 
+def _check_path_row(path: str, row) -> None:
+    """Raise :class:`SerializationError` naming ``path`` and the field
+    unless ``row`` carries every :class:`PathStats` field, well typed."""
+    if not isinstance(row, dict):
+        raise SerializationError(
+            f"profile path {path!r}: row is not a mapping")
+    for key in COUNT_FIELDS + TIME_FIELDS + SUMMARY_FIELDS:
+        if key not in row:
+            raise SerializationError(
+                f"profile path {path!r}: missing field {key!r}")
+        value = row[key]
+        number = isinstance(value, (int, float)) \
+            and not isinstance(value, bool)
+        if key in COUNT_FIELDS:
+            ok = number and isinstance(value, int) and value >= 0
+            want = "a non-negative int"
+        elif key in TIME_FIELDS:
+            ok = number and math.isfinite(value) and value >= 0
+            want = "a finite number >= 0"
+        else:
+            ok = value is None or (number and math.isfinite(value))
+            want = "a finite number or null"
+        if not ok:
+            raise SerializationError(
+                f"profile path {path!r}: field {key!r} must be {want}, "
+                f"got {value!r}")
+
+
 def load_profile_document(doc: dict) -> dict:
-    """Validate a loaded profile document (raises on malformed)."""
+    """Validate a loaded profile document (raises
+    :class:`SerializationError` on anything malformed, naming the path
+    and field of a bad row)."""
     if not isinstance(doc, dict) or not isinstance(
             doc.get("paths"), dict):
         raise SerializationError("malformed profile document: "
@@ -326,6 +366,8 @@ def load_profile_document(doc: dict) -> dict:
         raise SerializationError(
             f"unsupported profile schema {doc.get('schema')!r} "
             f"(expected {PROFILE_SCHEMA})")
+    for path, row in doc["paths"].items():
+        _check_path_row(path, row)
     return doc
 
 

@@ -34,11 +34,51 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from .metrics import (DEFAULT_BUCKETS_MS, DEFAULT_QUANTILES,
-                      interpolated_quantile, quantile_key)
+
+#: Default bucket bounds (ms-scale latencies: 0.1 ms … 10 s).
+DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
+    250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0)
+
+#: Default summary quantiles for snapshots (p50/p95/p99).
+DEFAULT_QUANTILES: Tuple[float, ...] = (0.50, 0.95, 0.99)
 
 #: Exact-phase capacity: small streams stay exact, large ones bucket.
 DEFAULT_BUFFER_CAP = 256
+
+
+def quantile_key(q: float) -> str:
+    """Stable snapshot key for a quantile (0.99 → ``"p99"``)."""
+    return f"p{100.0 * q:g}"
+
+
+def interpolated_quantile(bounds, counts, count: int, vmin: float,
+                          vmax: float, q: float) -> float:
+    """Linear-interpolated quantile from fixed bucket counts.
+
+    The bucketed phase of :class:`QuantileSketch`; returns NaN when
+    empty.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError(f"quantile {q} outside [0, 1]")
+    if count == 0:
+        return float("nan")
+    target = q * count
+    cum = 0
+    lo = 0.0
+    for i, c in enumerate(counts):
+        if c == 0:
+            lo = float(bounds[i]) if i < len(bounds) else lo
+            continue
+        if cum + c >= target:
+            hi = float(bounds[i]) if i < len(bounds) else vmax
+            frac = (target - cum) / c
+            est = lo + frac * (hi - lo)
+            # Exact extrema beat interpolation at the tails.
+            return float(min(max(est, vmin), vmax))
+        cum += c
+        lo = float(bounds[i]) if i < len(bounds) else lo
+    return vmax
 
 
 class QuantileSketch:
@@ -200,6 +240,17 @@ class QuantileSketch:
                 f"malformed sketch state: {exc}") from exc
         if len(out.counts) != len(out.bounds) + 1:
             raise ConfigError("sketch state counts/bounds mismatch")
+        buffered = 0 if out._buffer is None else len(out._buffer)
+        if out.count < 0 or out.dropped < 0 or (out.counts < 0).any():
+            raise ConfigError("sketch state has a negative count")
+        if out.count != int(out.counts.sum()) + buffered:
+            raise ConfigError(
+                f"sketch state count {out.count} != bucket counts "
+                f"{int(out.counts.sum())} + buffered {buffered}")
+        if buffered > out.buffer_cap:
+            raise ConfigError(
+                f"sketch state buffers {buffered} samples past its "
+                f"cap {out.buffer_cap}")
         return out
 
     # -- summaries -----------------------------------------------------------

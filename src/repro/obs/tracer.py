@@ -6,10 +6,12 @@ stage) with attributes and point-in-time events attached; a
 span on a :mod:`contextvars` stack (thread- and task-safe) and collects
 every finished span for export.  Design constraints:
 
-* **Zero overhead when disabled.**  The default ambient tracer is
-  :data:`NULL_TRACER`, whose ``span()`` hands back one shared no-op span
-  and whose metrics are write-discarding singletons, so instrumented hot
-  paths pay only a method call when tracing is off.
+* **Cheap when disabled.**  The default ambient tracer is
+  :data:`NULL_TRACER`, whose ``span()`` hands back one shared no-op
+  span, so instrumented hot paths pay only a method call when tracing
+  is off.  Spans are the one timing channel: counts of what happened
+  are span events and span attributes, per-frame latencies go to the
+  telemetry bus (:mod:`repro.obs.telemetry`).
 * **Deterministic under test.**  Span/trace ids are sequence numbers,
   never random, and the clock is injected (``Tracer(clock=...)``), so a
   fake clock produces byte-identical traces.
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
-from .metrics import NULL_METRICS, MetricsRegistry
 
 #: perf_counter → epoch offset, computed once so every process in a run
 #: reports timestamps on (approximately) the same absolute timeline.
@@ -152,7 +153,6 @@ class Tracer:
                  context: Optional[TraceContext] = None,
                  id_prefix: str = "") -> None:
         self.clock = clock
-        self.metrics = MetricsRegistry()
         self._context = context
         self._id_prefix = id_prefix
         self._next_id = 0
@@ -201,7 +201,7 @@ class Tracer:
             self._active.reset(token)
             self.end_span(sp)
 
-    # -- ambient event/metric helpers ---------------------------------------
+    # -- ambient event helpers -----------------------------------------------
 
     def current_span(self) -> Optional[Span]:
         return self._active.get()
@@ -261,15 +261,11 @@ class Tracer:
 class NullTracer(Tracer):
     """Disabled tracer: every operation is a cheap no-op.
 
-    Shares one :data:`NULL_SPAN` and a write-discarding metrics registry
-    so instrumentation costs a method call, never allocation.
+    Shares one :data:`NULL_SPAN` so instrumentation costs a method
+    call, never allocation.
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.metrics = NULL_METRICS
 
     def start_span(self, name: str, **attrs) -> Span:
         return NULL_SPAN

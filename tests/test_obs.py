@@ -1,8 +1,9 @@
-"""Tests for the observability layer (``repro.obs``): tracer, metrics,
-exporters, and its threading through the pipeline, guard, runner, and
-parallel fan-out."""
+"""Tests for the observability layer (``repro.obs``): tracer, the
+quantile sketch's bucketed phase, exporters, and its threading through
+the pipeline, guard, runner, and parallel fan-out."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from repro.bench.runner import ExperimentResult, ExperimentRunner
 from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.errors import ConfigError, SerializationError
 from repro.faults import FaultInjector, FaultKind, FaultSpec
-from repro.obs import (NULL_SPAN, NULL_TRACER, Counter, Histogram,
-                       MetricsRegistry, NullTracer, Tracer,
-                       aggregate_tree, chrome_trace, current_tracer,
-                       exclusive_total_s, record_event, render_tree,
+from repro.obs import (NULL_SPAN, NULL_TRACER, Aggregator, NullTracer,
+                       QuantileSketch, TelemetryBus, Tracer,
+                       build_profile, chrome_trace, current_tracer,
+                       record_event, render_profile, use_telemetry,
                        use_tracer, write_chrome_trace,
                        write_spans_jsonl)
 
@@ -99,7 +100,6 @@ class TestNullTracer:
             t.event("ignored")
         assert t.finished_spans() == []
         assert t.current_context() is None
-        assert t.metrics.snapshot() == {}
         # span() hands back the shared no-op without allocation
         assert t.span("y") is NULL_SPAN
 
@@ -111,31 +111,16 @@ class TestNullTracer:
 
 
 class TestMetrics:
-    def test_counter_gauge(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(4.5)
-        snap = reg.snapshot()
-        assert snap["c"] == {"type": "counter", "value": 3.0}
-        assert snap["g"] == {"type": "gauge", "value": 4.5}
-
-    def test_counter_cannot_decrease(self):
-        with pytest.raises(ConfigError):
-            Counter("c").inc(-1)
-
-    def test_type_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ConfigError):
-            reg.gauge("x")
+    """Latency quantiles from the sketch's bucketed phase
+    (``buffer_cap=0``: every observation goes straight to buckets)."""
 
     def test_histogram_quantiles_bracket_truth(self):
-        h = Histogram("lat", buckets=[float(b) for b in range(1, 201)])
+        h = QuantileSketch(buckets=range(1, 201), buffer_cap=0)
         rng = np.random.default_rng(0)
         values = rng.uniform(5.0, 150.0, 5000)
         for v in values:
             h.observe(float(v))
+        assert not h.exact
         snap = h.snapshot()
         assert snap["count"] == 5000
         for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
@@ -146,12 +131,16 @@ class TestMetrics:
         assert snap["max"] == pytest.approx(values.max())
 
     def test_histogram_empty_and_bad_buckets(self):
-        h = Histogram("h")
+        h = QuantileSketch(buckets=range(1, 201), buffer_cap=0)
         assert np.isnan(h.quantile(0.5))
+        h.observe(3.0)
+        assert not h.exact
         with pytest.raises(ConfigError):
-            Histogram("bad", buckets=[2.0, 1.0])
+            h.quantile(1.5)
         with pytest.raises(ConfigError):
-            Histogram("bad", buckets=[])
+            QuantileSketch(buckets=[2.0, 1.0], buffer_cap=0)
+        with pytest.raises(ConfigError):
+            QuantileSketch(buckets=[], buffer_cap=0)
 
 
 class TestExport:
@@ -190,19 +179,20 @@ class TestExport:
         assert len(rows) == 3
         assert {r["name"] for r in rows} == {"root", "stage"}
 
-    def test_aggregate_tree_and_closure(self):
+    def test_profile_closure(self):
         t = self._trace()
-        (root,) = aggregate_tree(t.finished_spans())
-        assert root.name == "root"
-        assert root.children["stage"].count == 2
-        # Exclusive times over the tree sum to the root's inclusive.
-        assert exclusive_total_s(root) == pytest.approx(
-            root.inclusive_s)
-        text = render_tree(t.finished_spans())
-        assert "root" in text and "stage" in text
+        prof = build_profile(t.finished_spans(), quantize=False)
+        assert sorted(prof.paths) == ["root", "root/stage"]
+        assert prof.paths["root/stage"].count == 2
+        assert prof.paths["root/stage"].events == 1
+        # Self times over the tree sum to the root's total.
+        assert prof.total_self_ms() == pytest.approx(
+            prof.paths["root"].total_ms)
+        text = render_profile(prof)
+        assert "root" in text and "root/stage" in text
 
     def test_render_empty(self):
-        assert "no spans" in render_tree([])
+        assert "no spans" in render_profile(build_profile([]))
 
 
 class TestPipelineTracing:
@@ -215,9 +205,11 @@ class TestPipelineTracing:
         frames = self._frames(builder, small_index)
         baseline = VipPipeline(PipelineConfig(), seed=7).run(frames)
         tracer = Tracer()
-        traced = VipPipeline(PipelineConfig(), seed=7,
-                             tracer=tracer).run(frames)
-        # Tracing must not perturb results (NaN-tolerant compare).
+        with use_telemetry(TelemetryBus()) as bus:
+            traced = VipPipeline(PipelineConfig(), seed=7,
+                                 tracer=tracer).run(frames)
+        # Tracing and telemetry must not perturb results (NaN-tolerant
+        # compare).
         from repro.io.jsonio import jsonable
         assert jsonable(traced.summary()) == \
             jsonable(baseline.summary())
@@ -228,11 +220,15 @@ class TestPipelineTracing:
         n_frames = sum(1 for s in tracer.finished_spans()
                        if s.name == "frame")
         assert n_frames == traced.frames_processed
-        snap = tracer.metrics.snapshot()
-        assert snap["pipeline.frame_latency_ms"]["count"] == \
-            traced.frames_processed
-        assert snap["pipeline.frames_dropped"]["value"] == \
-            traced.frames_dropped
+        e2e = Aggregator(bus).fleet(0.0, windowed=False)["e2e"]
+        assert e2e["count"] == traced.frames_processed
+        assert e2e["max"] == pytest.approx(
+            max(traced.per_frame_latency_ms))
+        (run,) = [s for s in tracer.finished_spans()
+                  if s.name == "pipeline.run"]
+        assert run.attrs["frames_processed"] == traced.frames_processed
+        assert run.attrs["frames_dropped"] == traced.frames_dropped
+        assert run.attrs["alerts"] == len(traced.alerts)
 
     def test_guard_events_reach_stage_spans(self, builder,
                                             small_index):
@@ -252,14 +248,14 @@ class TestPipelineTracing:
                        if any(e.name == "stage_retry"
                               for e in s.events)]
         assert set(retry_spans) == {"detect"}
-        assert tracer.metrics.snapshot()["guard.retries"]["value"] > 0
 
 
 class TestRunnerTracing:
-    def _runner(self):
+    def _runner(self, enabled=None):
         def fake(**kwargs):
-            pipe_tracer = current_tracer()
-            pipe_tracer.metrics.counter("fake.calls").inc()
+            if enabled is not None:
+                enabled.append(current_tracer().enabled)
+            record_event("fake.calls")
             return ExperimentResult(
                 experiment_id="fake", title="Fake", headers=["x"],
                 rows=[[1]], claims={"ok": True})
@@ -268,16 +264,18 @@ class TestRunnerTracing:
     def test_root_span_and_metrics_attach(self):
         tracer = Tracer()
         with use_tracer(tracer):
-            result = self._runner().run("fake")
+            self._runner().run("fake")
         roots = [s for s in tracer.finished_spans()
                  if s.name == "experiment:fake"]
         assert len(roots) == 1
         assert roots[0].attrs["claims_hold"] is True
-        assert result.metrics["fake.calls"]["value"] == 1.0
+        # Work inside the experiment records onto its root span.
+        assert [e.name for e in roots[0].events] == ["fake.calls"]
 
     def test_disabled_by_default(self):
-        result = self._runner().run("fake")
-        assert result.metrics == {}
+        enabled = []
+        self._runner(enabled).run("fake")
+        assert enabled == [False]
 
 
 def _traced_square(x):
@@ -300,12 +298,22 @@ class TestParallelTracing:
         assert all(s.parent_id == caller.span_id for s in items)
         assert sum(len(s.events) for s in items) == 3
 
-    def test_pool_path_adopts_worker_spans(self):
+    @staticmethod
+    def _traced_run(workers):
         tracer = Tracer()
         with use_tracer(tracer), tracer.span("caller"):
             out = parallel_map(_traced_square, list(range(8)),
-                               workers=2)
+                               workers=workers)
         assert out == [x * x for x in range(8)]
+        return tracer
+
+    @staticmethod
+    def _event_counts(tracer):
+        return Counter(e.name for s in tracer.finished_spans()
+                       for e in s.events)
+
+    def test_pool_path_adopts_worker_spans(self):
+        tracer = self._traced_run(workers=2)
         items = [s for s in tracer.finished_spans()
                  if s.name == "map_item"]
         assert len(items) == 8
@@ -318,6 +326,11 @@ class TestParallelTracing:
         # Ids stay unique after adoption.
         ids = [s.span_id for s in tracer.finished_spans()]
         assert len(ids) == len(set(ids))
+        # Every event recorded in a worker comes back with its span:
+        # per-name counts match the serial run.
+        serial = self._traced_run(workers=1)
+        assert self._event_counts(tracer) == \
+            self._event_counts(serial) == {"square": 8}
 
     def test_untraced_path_unchanged(self):
         assert parallel_map(_traced_square, [2, 3], workers=2) == \

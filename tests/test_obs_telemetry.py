@@ -31,9 +31,9 @@ from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.faults.health import HealthState
-from repro.obs import (Aggregator, BurnWindow, Histogram,
-                       MetricsRegistry, MonitorSession, QuantileSketch,
-                       SloObjective, SloPolicy, SloTracker,
+from repro.obs import (Aggregator, BurnWindow, MonitorSession,
+                       QuantileSketch, SloObjective, SloPolicy,
+                       SloTracker,
                        TelemetryBus, TelemetrySample, WindowedCounter,
                        WindowedSketch, current_telemetry,
                        use_telemetry)
@@ -123,6 +123,11 @@ class TestQuantileSketch:
         for q in QS:
             assert sk.quantile(q) == pytest.approx(
                 float(np.quantile(values, q)))
+        # Summary quantiles are chosen per snapshot call.
+        snap = sk.snapshot((0.5, 0.9))
+        assert "p50" in snap and "p90" in snap and "p95" not in snap
+        with pytest.raises(ConfigError):
+            sk.quantile(1.5)
 
 
 class TestSlidingWindows:
@@ -376,32 +381,6 @@ class TestFleetTelemetry:
         b = FleetScheduler(cfg).run(SchedulingPolicy.ADAPTIVE,
                                     injector=None)
         assert a.summary() == b.summary()
-
-
-class TestHistogramSatellites:
-    def test_nonfinite_observations_dropped(self):
-        h = Histogram("lat")
-        for v in (math.inf, -math.inf, math.nan):
-            h.observe(v)
-        h.observe(5.0)
-        assert h.count == 1 and h.dropped == 3
-        snap = h.snapshot()
-        assert snap["dropped"] == 3
-        assert snap["min"] == snap["max"] == 5.0
-
-    def test_configurable_quantiles(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", quantiles=(0.5, 0.9))
-        for v in range(100):
-            h.observe(float(v))
-        snap = h.snapshot()
-        assert "p50" in snap and "p90" in snap and "p95" not in snap
-        override = reg.snapshot(quantiles=(0.25,))["lat"]
-        assert "p25" in override and "p90" not in override
-
-    def test_bad_quantiles_rejected(self):
-        with pytest.raises(ConfigError):
-            Histogram("lat", quantiles=(1.5,))
 
 
 class TestBenchTrack:

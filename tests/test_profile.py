@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.obs import (Profile, TickClock, Tracer, build_profile,
                        load_profile_document, profile_document,
                        profile_regressions, render_profile,
                        span_paths, use_tracer)
+from repro.obs.profile import COUNT_FIELDS, SUMMARY_FIELDS, TIME_FIELDS
 from repro.obs.tracer import Span
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -280,6 +282,44 @@ class TestExports:
         with pytest.raises(SerializationError):
             load_profile_document({"schema": 1})
 
+    @staticmethod
+    def _mutations(key):
+        """Field mutations a loader must reject: drop, retype, NaN,
+        infinity, and (for counts and time sums) negate or fractional
+        counts."""
+        yield "drop", None
+        yield "retype", "12"
+        yield "bool", True
+        yield "nan", float("nan")
+        yield "inf", float("inf")
+        if key in COUNT_FIELDS + TIME_FIELDS:
+            yield "negate", -3
+        if key in COUNT_FIELDS:
+            yield "fraction", 2.5
+
+    def test_malformed_path_rows_rejected(self):
+        doc = profile_document(self._profile(), targets=["x"])
+        fields = COUNT_FIELDS + TIME_FIELDS + SUMMARY_FIELDS
+        assert set(fields) == set(doc["paths"]["a"])
+        for key in fields:
+            for how, value in self._mutations(key):
+                bad = copy.deepcopy(doc)
+                if how == "drop":
+                    del bad["paths"]["a"][key]
+                else:
+                    bad["paths"]["a"][key] = value
+                with pytest.raises(SerializationError,
+                                   match=f"'a'.*'{key}'"):
+                    load_profile_document(bad)
+        bad = copy.deepcopy(doc)
+        bad["paths"]["a"] = [1, 2]
+        with pytest.raises(SerializationError, match="'a'"):
+            load_profile_document(bad)
+        # Summaries of an empty path are null, and that is well formed.
+        for key in SUMMARY_FIELDS:
+            doc["paths"]["a"][key] = None
+        assert load_profile_document(doc) is doc
+
 
 class TestDiffGate:
     def _docs(self):
@@ -386,6 +426,19 @@ class TestCli:
         assert main(["profile", "--diff", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 2
 
+    def test_profile_diff_malformed_row_is_cli_error(self, tmp_path,
+                                                     capsys):
+        base_p = os.path.join(REPO_ROOT,
+                              profiler.DEFAULT_BASELINE_PATH)
+        doc = profiler.load_profile(base_p)
+        path = sorted(doc["paths"])[0]
+        del doc["paths"][path]["self_ms"]
+        head_p = tmp_path / "head.json"
+        head_p.write_text(dumps_json(doc))
+        assert main(["profile", "--diff", base_p, str(head_p)]) == 2
+        err = capsys.readouterr().err
+        assert "self_ms" in err and path in err
+
     def test_profile_unknown_target_is_cli_error(self, tmp_path):
         assert main(["profile", "bogus_target",
                      "--out", str(tmp_path / "x.json")]) == 2
@@ -400,6 +453,19 @@ class TestCli:
         assert doc["deterministic"] is False  # wall-clock capture
         assert doc["targets"] == ["ablation_pipeline"]
         assert any("pipeline.run" in p for p in doc["paths"])
+
+    def test_trace_prints_event_counts_and_telemetry(self, tmp_path,
+                                                     capsys):
+        rc = main(["trace", "ablation_pipeline",
+                   "--out", str(tmp_path / "t.json")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "experiment:ablation_pipeline/pipeline.run" in out
+        assert "% closure" in out
+        # One fallback event per fallback activation; one e2e sample
+        # per processed frame.
+        assert re.search(r"^  fallback: 281$", out, re.M)
+        assert re.search(r"^  e2e: n=543 ", out, re.M)
 
     def test_trace_out_creates_parent_dirs(self, tmp_path):
         out = tmp_path / "nested" / "trace.json"

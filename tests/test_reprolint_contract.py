@@ -86,10 +86,8 @@ EXPERIMENTS_MD_PREFIX_ONLY = """
 ## exp_fleet_scale results
 """
 
-METRICS_USER = '''
-def instrument(metrics, bus):
-    metrics.counter("guard.retries").inc()
-    metrics.histogram("pipeline.latency_ms", ())
+TELEMETRY_USER = '''
+def instrument(bus):
     bus.emit("drone-00", "e2e", 1.0, 0.0)
 '''
 
@@ -99,7 +97,7 @@ def build_repo(tmp_path, *, drop_golden=False, drop_docs=False,
                drop_chaos_golden=False, drop_fleet_golden=False,
                docs_prefix_only=False, undocumented_serve_sim=False,
                undocumented_profile=False, baseline=PROFILE_BASELINE,
-               metrics_src=METRICS_USER):
+               telemetry_src=TELEMETRY_USER):
     (tmp_path / "pyproject.toml").write_text("[project]\n")
     pkg = tmp_path / "src" / "repro"
     exp = pkg / "bench" / "experiments"
@@ -116,7 +114,8 @@ def build_repo(tmp_path, *, drop_golden=False, drop_docs=False,
     if undocumented_cli:
         cli += '    sub.add_parser("hidden", help="oops")\n'
     (pkg / "cli.py").write_text(cli)
-    (pkg / "metrics_user.py").write_text(textwrap.dedent(metrics_src))
+    (pkg / "telemetry_user.py").write_text(
+        textwrap.dedent(telemetry_src))
     golden = tmp_path / "tests" / "golden"
     golden.mkdir(parents=True)
     if not drop_golden:
@@ -285,44 +284,8 @@ class TestProfileBaseline:
 
 
 class TestTelemetryNaming:
-    def test_undotted_metric_fires_rl103(self, tmp_path):
-        root = build_repo(tmp_path, metrics_src='''
-            def instrument(metrics):
-                metrics.counter("retries").inc()
-            ''')
-        res = contract_lint(root)
-        assert [v.rule_id for v in res.violations] == ["RL103"]
-        assert "stage.metric" in res.violations[0].message
-
-    def test_uppercase_metric_fires_rl103(self, tmp_path):
-        root = build_repo(tmp_path, metrics_src='''
-            def instrument(metrics):
-                metrics.gauge("Guard.Retries")
-            ''')
-        res = contract_lint(root)
-        assert [v.rule_id for v in res.violations] == ["RL103"]
-
-    def test_kind_collision_fires_rl103(self, tmp_path):
-        root = build_repo(tmp_path, metrics_src='''
-            def instrument(metrics):
-                metrics.counter("guard.retries").inc()
-                metrics.histogram("guard.retries", ())
-            ''')
-        res = contract_lint(root)
-        assert [v.rule_id for v in res.violations] == ["RL103"]
-        assert "counter" in res.violations[0].message
-
-    def test_same_kind_reuse_allowed(self, tmp_path):
-        root = build_repo(tmp_path, metrics_src='''
-            def a(metrics):
-                metrics.counter("guard.retries").inc()
-            def b(metrics):
-                metrics.counter("guard.retries").inc()
-            ''')
-        assert contract_lint(root).violations == []
-
     def test_bad_emit_stage_fires_rl103(self, tmp_path):
-        root = build_repo(tmp_path, metrics_src='''
+        root = build_repo(tmp_path, telemetry_src='''
             def instrument(bus):
                 bus.emit("drone-00", "End To End", 1.0, 0.0)
             ''')

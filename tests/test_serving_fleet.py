@@ -279,3 +279,24 @@ class TestSketchState:
         bad = dict(good, counts=[1, 2])
         with pytest.raises(ConfigError):
             QuantileSketch.from_state(bad)
+        exact = QuantileSketch(buffer_cap=4)
+        for v in (1.0, 2.0, 3.0):
+            exact.observe(v)
+        spilled = QuantileSketch(buffer_cap=2)
+        for v in (1.0, 2.0, 3.0):
+            spilled.observe(v)
+        negative = list(spilled.state()["counts"])
+        negative[0] = -1
+        for state, change in (
+                (good, {"count": -1}),
+                (good, {"dropped": -1}),
+                (spilled.state(), {"counts": negative}),
+                # count must equal bucket counts + buffered samples
+                (exact.state(), {"count": 2}),
+                (spilled.state(), {"count": 4}),
+                (good, {"count": 1}),
+                # the exact-phase buffer never outgrows its cap
+                (exact.state(), {"buffer_cap": 2}),
+        ):
+            with pytest.raises(ConfigError):
+                QuantileSketch.from_state(dict(state, **change))
