@@ -50,12 +50,15 @@ from __future__ import annotations
 import bisect
 import copy
 import enum
+import hashlib
+import heapq
+import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import BenchmarkError, HardwareError
+from ..errors import BenchmarkError, HardwareError, SerializationError
 from ..faults.guard import AdaptiveEnvelope
 from ..faults.server import DOWNTIME_SPREAD_LO, ServerFaultStream
 from ..faults.spec import FaultSpec
@@ -75,8 +78,19 @@ _INF = float("inf")
 #: Checkpoint payload version (``ClusterSimulator.snapshot``).
 #: v2 adds the live replica pool (specs + retiring flags) so a
 #: snapshot taken after ``add_replica``/``drain_replica`` restores
-#: the scaled pool, not the config's initial one.
-SNAPSHOT_SCHEMA = 2
+#: the scaled pool, not the config's initial one.  v3 adds
+#: ``config_sha256`` so a snapshot only restores under its own config.
+SNAPSHOT_SCHEMA = 3
+
+_NUMBER = (int, float)
+#: Top-level snapshot fields and the types ``restore`` accepts.
+_SNAPSHOT_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "config_sha256": (str,), "now": _NUMBER, "arr_i": (int,),
+    "last_done": _NUMBER, "rr_cursor": (int,), "specs": (list,),
+    "replicas": (list,), "meta": (list,), "retry": (list,),
+    "crash_events": (list,), "report": (dict,), "rng": (dict,),
+    "envelope_baseline": _NUMBER + (type(None),),
+}
 
 #: Shed/loss reasons tallied by the cluster router.
 SHED_REASONS = ("queue_full", "deadline", "slo_burn", "no_replica",
@@ -202,6 +216,16 @@ class ClusterConfig:
     @property
     def offered_rps(self) -> float:
         return self.num_streams * self.frame_rate
+
+
+def _config_digest(config: ClusterConfig) -> str:
+    """SHA-256 of the config's canonical JSON (enums by value)."""
+    def plain(obj: object) -> object:
+        if isinstance(obj, enum.Enum):
+            return obj.value
+        raise TypeError(f"not JSON-able: {obj!r}")
+    text = json.dumps(asdict(config), sort_keys=True, default=plain)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def default_chaos_faults(duration_s: float,
@@ -466,6 +490,8 @@ class ClusterSimulator:
             self._stream_ids = sorted({r.stream
                                        for r in self._arrivals})
         self._s: Optional[dict] = None
+        #: ``(history length, hedge delay)``: derived, never snapshotted.
+        self._hedge_memo: Optional[Tuple[int, float]] = None
 
     # -- per-replica latency model -------------------------------------------
 
@@ -608,8 +634,8 @@ class ClusterSimulator:
                 # No live home right now: park it in the retry backlog
                 # without backoff or budget — it re-places as soon as
                 # a replica frees up.
-                meta["timeout_at"] = None
-                meta["hedge_at"] = None
+                self._set_timer(meta, "timeout_at", None)
+                self._set_timer(meta, "hedge_at", None)
                 bisect.insort(self._s["retry"],
                               [t, req.stream, req.seq])
             moved += 1
@@ -648,6 +674,7 @@ class ClusterSimulator:
             "retry": [],
             "crash_events": [],
             "report": report,
+            "timers": [],
         }
 
     def _make_batcher(self, replica: int) -> MicroBatcher:
@@ -712,8 +739,43 @@ class ClusterSimulator:
         lat = self._s["report"].latencies_ms
         if len(lat) < cfg.hedge_min_observations:
             return None
-        return float(np.percentile(np.asarray(lat),
-                                   100.0 * cfg.hedge_quantile))
+        # Latencies only ever grow by appending, so the history length
+        # keys the quantile exactly.
+        if self._hedge_memo is None or self._hedge_memo[0] != len(lat):
+            self._hedge_memo = (len(lat), float(np.percentile(
+                np.asarray(lat), 100.0 * cfg.hedge_quantile)))
+        return self._hedge_memo[1]
+
+    def _set_timer(self, meta: dict, field_name: str,
+                   t_ms: Optional[float]) -> None:
+        """Set a request's ``timeout_at``/``hedge_at`` and arm it on the
+        timer heap.  Disarming only clears the field: the heap entry
+        goes stale and ``_next_event`` drops it when it surfaces."""
+        meta[field_name] = t_ms
+        if t_ms is None:
+            return
+        req = meta["request"]
+        prio = _P_TIMEOUT if field_name == "timeout_at" else _P_HEDGE
+        heapq.heappush(self._s["timers"],
+                       (t_ms, prio, -1, (req.stream, req.seq)))
+
+    def _timer_live(self, entry: Tuple[float, int, int, Tuple[int, int]]
+                    ) -> bool:
+        t, prio, _r, key = entry
+        meta = self._s["meta"].get(key)
+        return meta is not None and meta[
+            "timeout_at" if prio == _P_TIMEOUT else "hedge_at"] == t
+
+    def _rebuild_timers(self) -> None:
+        """The timer heap holding exactly the live timers of ``meta``
+        (restore, and compaction once stale entries pile up)."""
+        timers = [(m[name], prio, -1, key)
+                  for key, m in self._s["meta"].items()
+                  for name, prio in (("timeout_at", _P_TIMEOUT),
+                                     ("hedge_at", _P_HEDGE))
+                  if m[name] is not None]
+        heapq.heapify(timers)
+        self._s["timers"] = timers
 
     def _place(self, req: Request, meta: dict, replica: int,
                t_ms: float, hedge: bool = False) -> None:
@@ -721,14 +783,14 @@ class ClusterSimulator:
         self._s["replicas"][replica]["batcher"].push(req)
         meta["locations"].append(["q", replica, t_ms, hedge])
         if len(meta["locations"]) == 1:
-            meta["timeout_at"] = t_ms + self._timeout_ms()
+            self._set_timer(meta, "timeout_at", t_ms + self._timeout_ms())
             delay = self._hedge_delay_ms()
-            meta["hedge_at"] = t_ms + delay \
-                if delay is not None else None
+            self._set_timer(meta, "hedge_at", t_ms + delay
+                            if delay is not None else None)
         else:
             # Two copies racing: the race *is* the recovery mechanism.
-            meta["timeout_at"] = None
-            meta["hedge_at"] = None
+            self._set_timer(meta, "timeout_at", None)
+            self._set_timer(meta, "hedge_at", None)
 
     def _requeue(self, req: Request, meta: dict, t_ms: float,
                  crash_event: Optional[int]) -> None:
@@ -743,8 +805,8 @@ class ClusterSimulator:
             return
         backoff = self.config.backoff_base_ms \
             * 2.0 ** (meta["reroutes"] - 1)
-        meta["timeout_at"] = None
-        meta["hedge_at"] = None
+        self._set_timer(meta, "timeout_at", None)
+        self._set_timer(meta, "hedge_at", None)
         if crash_event is not None:
             meta["crash_event"] = crash_event
             self._s["crash_events"][crash_event]["requeued"] += 1
@@ -789,12 +851,15 @@ class ClusterSimulator:
             consider(first[0], _P_RETRY, key=(first[1], first[2]))
         if s["arr_i"] < len(self._arrivals):
             consider(self._arrivals[s["arr_i"]].arrival_ms, _P_ARRIVAL)
-        for key in sorted(s["meta"]):
-            m = s["meta"][key]
-            if m["timeout_at"] is not None:
-                consider(m["timeout_at"], _P_TIMEOUT, key=key)
-            if m["hedge_at"] is not None:
-                consider(m["hedge_at"], _P_HEDGE, key=key)
+        # A request holds at most two live timers, so a heap longer
+        # than four per outstanding request is mostly stale: compact.
+        if len(s["timers"]) > 4 * len(s["meta"]) + 16:
+            self._rebuild_timers()
+        timers = s["timers"]
+        while timers and not self._timer_live(timers[0]):
+            heapq.heappop(timers)
+        if timers and timers[0] < best:
+            best = timers[0]
         return best
 
     #: Span name per event priority — the profiled event-loop surface.
@@ -999,12 +1064,12 @@ class ClusterSimulator:
         alternatives = self._routable(t, exclude=(here,))
         if not alternatives:
             # No better home; keep waiting under a fresh envelope.
-            meta["timeout_at"] = t + self._timeout_ms()
+            self._set_timer(meta, "timeout_at", t + self._timeout_ms())
             return
         if meta["reroutes"] >= self.config.max_retries:
             # Budget spent: stop churning, let the current queue serve
             # it (never drop an admitted request for being slow).
-            meta["timeout_at"] = None
+            self._set_timer(meta, "timeout_at", None)
             return
         removed = s["replicas"][here]["batcher"].remove(req)
         assert removed, "timed-out request must still be queued"
@@ -1023,14 +1088,15 @@ class ClusterSimulator:
         meta = s["meta"][key]
         occupied = tuple(loc[1] for loc in meta["locations"])
         others = self._routable(t, exclude=occupied)
-        meta["hedge_at"] = None
+        self._set_timer(meta, "hedge_at", None)
         if not others:
             return
         target = self._choose(others, t)
         report.hedged += 1
         s["replicas"][target]["batcher"].push(meta["request"])
         meta["locations"].append(["q", target, t, True])
-        meta["timeout_at"] = None  # the race supersedes the timeout
+        # The race supersedes the timeout.
+        self._set_timer(meta, "timeout_at", None)
         bus = current_telemetry()
         if bus.enabled:
             bus.emit("router", "hedge", 1.0, t / 1000.0, unit="count")
@@ -1060,7 +1126,7 @@ class ClusterSimulator:
             if len(meta["locations"]) == 1:
                 # In flight: execution is bounded by the (possibly
                 # throttled) batch latency; hedging covers slowness.
-                meta["timeout_at"] = None
+                self._set_timer(meta, "timeout_at", None)
         if bus.enabled:
             bus.emit(f"replica-{replica}", "batch", float(len(batch)),
                      t / 1000.0, unit="frames")
@@ -1097,6 +1163,7 @@ class ClusterSimulator:
 
         snap = {
             "schema": SNAPSHOT_SCHEMA,
+            "config_sha256": _config_digest(self.config),
             "now": s["now"],
             "arr_i": s["arr_i"],
             "last_done": s["last_done"],
@@ -1150,11 +1217,35 @@ class ClusterSimulator:
                 arrivals: Optional[Sequence[Request]] = None
                 ) -> "ClusterSimulator":
         """Revive a :meth:`snapshot` under the same config; the
-        resumed run is byte-identical to the uninterrupted one."""
+        resumed run is byte-identical to the uninterrupted one.
+
+        Raises :class:`BenchmarkError` on a foreign schema version and
+        :class:`SerializationError`, naming the field, on a missing or
+        mistyped top-level field or a snapshot of another config.
+        """
         if snap.get("schema") != SNAPSHOT_SCHEMA:
             raise BenchmarkError(
                 f"unsupported snapshot schema {snap.get('schema')!r}")
+        for name, types in _SNAPSHOT_FIELDS.items():
+            if name not in snap:
+                raise SerializationError(f"snapshot lacks field {name!r}")
+            value = snap[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise SerializationError(
+                    f"snapshot field {name!r} has type "
+                    f"{type(value).__name__}")
+        if snap["config_sha256"] != _config_digest(config):
+            raise SerializationError(
+                "snapshot field 'config_sha256' does not match the "
+                "restoring config")
         sim = cls(config, batching=batching, arrivals=arrivals)
+        if not 0 <= snap["arr_i"] <= len(sim._arrivals):
+            raise SerializationError(
+                f"snapshot field 'arr_i' = {snap['arr_i']} outside "
+                f"[0, {len(sim._arrivals)}]")
+        if len(snap["replicas"]) != len(snap["specs"]):
+            raise SerializationError(
+                "snapshot fields 'replicas' and 'specs' differ in length")
         snap = copy.deepcopy(snap)
 
         # The snapshot's live pool wins over the config's initial one
@@ -1213,6 +1304,7 @@ class ClusterSimulator:
             "crash_events": snap["crash_events"],
             "report": report,
         }
+        sim._rebuild_timers()
         sim._rng.bit_generator.state = snap["rng"]
         sim._envelope.baseline = snap["envelope_baseline"]
         if sim._slo is not None:

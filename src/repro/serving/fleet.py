@@ -44,7 +44,7 @@ from ..faults.server import CellFault, cell_fault_plan
 from ..obs.sketch import QuantileSketch
 from ..obs.slo import SloTracker
 from ..obs.tracer import current_tracer
-from ..rng import make_rng, seed_sequence
+from ..rng import seed_sequence
 from ..units import fps_to_period_ms
 from .admission import AdmissionPolicy, serving_slo_policy
 from .cluster import (SHED_REASONS, ClusterConfig, ClusterReport,
@@ -199,6 +199,15 @@ class FleetSimConfig:
 # -- fleet arrival schedule ---------------------------------------------------
 
 
+def _schedule(cfg: FleetSimConfig,
+              streams: Optional[Sequence[int]] = None) -> List[Request]:
+    """The fleet schedule restricted to ``streams`` (all if None)."""
+    return generate_arrivals(
+        cfg.num_streams, cfg.frame_rate, cfg.duration_s,
+        cfg.resolved_deadline_ms, jitter_ms=cfg.arrival_jitter_ms,
+        seed=cfg.seed, ramp=cfg.ramp, streams=streams)
+
+
 def generate_fleet_arrivals(cfg: FleetSimConfig) -> List[Request]:
     """The full fleet arrival schedule — a pure function of the
     workload parameters and seed, identical in every worker.
@@ -208,39 +217,14 @@ def generate_fleet_arrivals(cfg: FleetSimConfig) -> List[Request]:
     whose per-stream arrival rate is ``frame_rate × multiplier``,
     phase-staggered the same way within each segment.
     """
-    deadline = cfg.resolved_deadline_ms
-    if cfg.ramp == (1.0,):
-        return generate_arrivals(
-            cfg.num_streams, cfg.frame_rate, cfg.duration_s, deadline,
-            jitter_ms=cfg.arrival_jitter_ms, seed=cfg.seed)
-    seg_s = cfg.duration_s / len(cfg.ramp)
-    rng = make_rng(cfg.seed, "serving-arrivals") \
-        if cfg.arrival_jitter_ms > 0 else None
-    out: List[Request] = []
-    for stream in range(cfg.num_streams):
-        seq = 0
-        for i, mult in enumerate(cfg.ramp):
-            rate = cfg.frame_rate * mult
-            period = fps_to_period_ms(rate)
-            frames = int(seg_s * rate)
-            phase = period * stream / cfg.num_streams
-            seg_start = i * seg_s * 1000.0
-            for k in range(frames):
-                t = seg_start + phase + k * period
-                if rng is not None:
-                    t += float(rng.uniform(0.0, cfg.arrival_jitter_ms))
-                out.append(Request(stream=stream, seq=seq,
-                                   arrival_ms=t,
-                                   deadline_ms=t + deadline))
-                seq += 1
-    out.sort(key=lambda r: (r.arrival_ms, r.stream, r.seq))
-    return out
+    return _schedule(cfg)
 
 
 def cell_arrivals(cfg: FleetSimConfig, cell: int) -> List[Request]:
-    """The slice of the fleet schedule owned by ``cell``."""
-    return [r for r in generate_fleet_arrivals(cfg)
-            if stream_cell(r.stream, cfg.num_cells) == cell]
+    """The slice of the fleet schedule owned by ``cell``, generated
+    directly from the cell's own streams."""
+    streams = cell_streams(cfg.num_streams, cfg.num_cells)
+    return _schedule(cfg, streams.get(cell, []))
 
 
 def active_cells(cfg: FleetSimConfig) -> List[int]:

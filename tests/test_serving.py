@@ -6,7 +6,10 @@ its batching, admission and shedding behaviour; the fault-tolerance
 machinery is covered in ``test_serving_cluster.py``.
 """
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -78,6 +81,27 @@ class TestRequestStreams:
             generate_arrivals(1, 10.0, 1.0, -1.0)
         with pytest.raises(BenchmarkError):
             Request(stream=0, seq=0, arrival_ms=5.0, deadline_ms=5.0)
+        with pytest.raises(BenchmarkError):
+            generate_arrivals(2, 10.0, 1.0, 100.0, streams=[2])
+        with pytest.raises(BenchmarkError):
+            generate_arrivals(2, 10.0, 1.0, 100.0, ramp=(1.0, 0.0))
+
+    def test_request_copies_and_pickles(self):
+        req = Request(stream=1, seq=2, arrival_ms=3.0, deadline_ms=4.0)
+        assert copy.deepcopy(req) == req
+        assert pickle.loads(pickle.dumps(req)) == req
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            req.seq = 3
+
+    def test_stream_subset_is_a_slice_of_the_schedule(self):
+        """Each stream owns a fixed block of the jitter draws, so any
+        subset of streams is exactly that slice of the full schedule."""
+        full = generate_arrivals(5, 10.0, 1.0, 100.0, jitter_ms=5.0,
+                                 seed=3, ramp=(1.0, 2.0))
+        part = generate_arrivals(5, 10.0, 1.0, 100.0, jitter_ms=5.0,
+                                 seed=3, ramp=(1.0, 2.0), streams=[4, 1])
+        assert part == [r for r in full if r.stream in (1, 4)]
+        assert generate_arrivals(5, 10.0, 1.0, 100.0, streams=[]) == []
 
 
 class TestMicroBatcher:

@@ -182,7 +182,7 @@ class TestElasticPool:
         sim.add_replica(SPEC)
         sim.drain_replica(0)
         snap = json.loads(json.dumps(sim.snapshot()))
-        assert snap["schema"] == 2
+        assert snap["schema"] == 3  # v3 added config_sha256
         assert len(snap["specs"]) == 3
         assert [r["retiring"] for r in snap["replicas"]] \
             == [True, False, False]

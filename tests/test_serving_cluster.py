@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from repro.errors import BenchmarkError, ConfigError
+from repro.errors import (BenchmarkError, ConfigError,
+                          SerializationError)
 from repro.faults import (AdaptiveEnvelope, FaultInjector, FaultKind,
                           FaultSpec, ServerFaultStream)
 from repro.obs import TelemetryBus, use_telemetry
@@ -345,6 +346,30 @@ class TestCheckpointRestore:
         with pytest.raises(BenchmarkError):
             ClusterSimulator.restore(ClusterConfig(seed=7),
                                      {"schema": 99})
+        cfg = ClusterConfig(seed=1, num_streams=8, duration_s=1.0)
+        paused = ClusterSimulator(cfg)
+        assert paused.run(pause_at_ms=500.0) is None
+        good = json.loads(json.dumps(paused.snapshot()))
+        bad_inputs = [
+            ("arr_i", lambda snap: snap.pop("arr_i")),
+            ("now", lambda snap: snap.update(now="soon")),
+            ("retry", lambda snap: snap.update(retry=None)),
+            ("rr_cursor", lambda snap: snap.update(rr_cursor=True)),
+            ("config_sha256", lambda snap: snap.pop("config_sha256")),
+            ("arr_i", lambda snap: snap.update(arr_i=10**6)),
+            ("specs", lambda snap: snap["specs"].pop()),
+        ]
+        for field_name, corrupt in bad_inputs:
+            snap = json.loads(json.dumps(good))
+            corrupt(snap)
+            with pytest.raises(SerializationError, match=field_name):
+                ClusterSimulator.restore(cfg, snap)
+        # A snapshot only restores under the config that took it.
+        other = ClusterConfig(seed=99, num_streams=4, duration_s=3.0)
+        with pytest.raises(SerializationError, match="config_sha256"):
+            ClusterSimulator.restore(other, good)
+        resumed = ClusterSimulator.restore(cfg, good).resume()
+        assert resumed.conservation_holds()
 
 
 class TestClusterObservability:

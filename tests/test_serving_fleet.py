@@ -8,6 +8,8 @@ machine-check the 1-vs-4-shard acceptance claim, and confirm that a
 chaos fault confined to one cell never leaks into fleet-wide loss.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,8 +18,8 @@ from repro.errors import ConfigError
 from repro.faults.server import cell_fault_plan
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.obs.sketch import QuantileSketch
-from repro.serving import (FleetSimConfig, FleetSimulator, ReplicaSpec,
-                           generate_arrivals)
+from repro.serving import (AutoscalePolicy, FleetSimConfig,
+                           FleetSimulator, ReplicaSpec, generate_arrivals)
 from repro.serving.fleet import (active_cells, cell_arrivals,
                                  cell_streams, cluster_config_for_cell,
                                  generate_fleet_arrivals,
@@ -37,6 +39,42 @@ def small_config(**extra) -> FleetSimConfig:
 
 def blob(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True)
+
+
+#: The fleet-autoscale benchmark workload (ramped, jittered) and a flat
+#: jittered fleet, each also without jitter.
+SCHEDULE_CONFIGS = {
+    "ramped": FleetSimConfig(
+        num_streams=96, num_cells=8,
+        replicas_per_cell=(ReplicaSpec("yolov8-m", "rtx4090"),),
+        frame_rate=5.0, duration_s=7.5, ramp=(1.0, 3.0, 1.0, 3.0),
+        arrival_jitter_ms=2.0, autoscale=AutoscalePolicy(), shards=2,
+        seed=1),
+    "flat": FleetSimConfig(num_streams=24, num_cells=4, frame_rate=10.0,
+                           duration_s=3.0, arrival_jitter_ms=5.0, seed=7),
+}
+SCHEDULE_CONFIGS.update({
+    f"{name}-nojitter": dataclasses.replace(cfg, arrival_jitter_ms=0.0)
+    for name, cfg in list(SCHEDULE_CONFIGS.items())})
+
+#: SHA-256 of each schedule's ``[stream, seq, arrival, deadline]`` JSON,
+#: recorded when every cell still filtered the whole fleet schedule.
+SCHEDULE_SHA256 = {
+    "ramped": "862883e2aea8808131c078e87a2b5514"
+              "f77a18ff30e625abef9c385d74b5b28f",
+    "ramped-nojitter": "41b8a58df5d3c4f596b2f4fd4368f13d"
+                       "3dca229ecb7407b326300ed8013db05d",
+    "flat": "a812fd31d7f227d3da310e9bfa0c9e15"
+            "fd14afc837679fa1c5e12c3dd9d9643a",
+    "flat-nojitter": "620e04f4e8ce6bcec22df4a7309235a3"
+                     "0588e7a8c26e3b95bba12e391803d971",
+}
+
+
+def schedule_sha256(reqs) -> str:
+    text = json.dumps([[r.stream, r.seq, r.arrival_ms, r.deadline_ms]
+                       for r in reqs])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestPartitioning:
@@ -87,6 +125,20 @@ class TestFleetArrivals:
         calm = sum(1 for r in reqs if r.arrival_ms < half)
         peak = sum(1 for r in reqs if r.arrival_ms >= half)
         assert peak == 3 * calm
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
+    def test_fleet_schedule_is_pinned(self, name):
+        reqs = generate_fleet_arrivals(SCHEDULE_CONFIGS[name])
+        assert schedule_sha256(reqs) == SCHEDULE_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
+    def test_cell_arrivals_equal_filtered_fleet_schedule(self, name):
+        cfg = SCHEDULE_CONFIGS[name]
+        full = generate_fleet_arrivals(cfg)
+        for cell in range(cfg.num_cells):
+            assert cell_arrivals(cfg, cell) == [
+                r for r in full
+                if stream_cell(r.stream, cfg.num_cells) == cell]
 
     def test_cell_arrivals_partition_the_schedule(self):
         cfg = small_config(ramp=(1.0, 2.0))
