@@ -7,8 +7,10 @@ cells of Jetson-class replica pools — through
 * **shard-count invariance** — the merged fleet metrics (p99,
   availability, goodput, conservation counters) are byte-identical
   whether the cells run in one process or fan out over 4 worker
-  processes, for both the flat and the autoscaled runs.  Sharding is
-  an execution detail, never an answer detail.
+  processes.  The autoscaled run always advances its cells in one
+  process, so its 1- vs 4-shard check pins that ``shards`` never
+  reaches the answer.  Sharding is an execution detail, never an
+  answer detail.
 * **the partition admits parallelism** — the stable-hash cell
   partition is balanced enough that the work-balance speedup bound
   (total work over the largest cell's work) clears 3× at 4 cells.

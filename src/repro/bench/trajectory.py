@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.fleet import FleetConfig, FleetScheduler, SchedulingPolicy
-from ..errors import BenchmarkError
+from ..errors import BenchmarkError, SerializationError
 from ..io.jsonio import dump_json
 from ..latency.runtime import SimulatedRuntime
 from ..obs import (Aggregator, QuantileSketch, TelemetryBus, TickClock,
@@ -271,13 +272,65 @@ def write_point(out_dir: str, label: str,
     return dump_json(point_path(out_dir, label), point)
 
 
+#: Sketch-snapshot fields that count samples (non-negative ints); every
+#: other field but ``exact`` is a statistic (finite, or null when empty).
+_COUNT_FIELDS = ("count", "dropped")
+
+
+def _check_probe(probe: str, snap) -> None:
+    """Raise :class:`SerializationError` naming ``probe`` and the field
+    unless ``snap`` is a well-typed sketch snapshot."""
+    if not isinstance(snap, dict):
+        raise SerializationError(f"probe {probe!r}: not a mapping")
+    for key in _COUNT_FIELDS:
+        value = snap.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 0:
+            raise SerializationError(
+                f"probe {probe!r}: field {key!r} must be a non-negative "
+                f"int, got {value!r}")
+    for key, value in snap.items():
+        if key in _COUNT_FIELDS:
+            continue
+        if key == "exact":
+            ok = isinstance(value, bool)
+            want = "a bool"
+        elif value is None:
+            ok = snap["count"] == 0
+            want = "a finite number (null only for an empty sketch)"
+        else:
+            ok = isinstance(value, (int, float)) \
+                and not isinstance(value, bool) and math.isfinite(value)
+            want = "a finite number"
+        if not ok:
+            raise SerializationError(
+                f"probe {probe!r}: field {key!r} must be {want}, "
+                f"got {value!r}")
+
+
 def load_point(path: str) -> dict:
+    """Load and validate a trajectory point: every probe must be a
+    sketch snapshot with non-negative int counts and finite statistics
+    (raises :class:`SerializationError` naming the probe and field)."""
     if not os.path.exists(path):
         raise BenchmarkError(f"no trajectory point at {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        point = json.load(fh)
-    if not isinstance(point, dict) or "suite" not in point:
-        raise BenchmarkError(f"malformed trajectory point at {path}")
+        try:
+            point = json.load(fh)
+        except ValueError as exc:
+            raise SerializationError(
+                f"malformed trajectory point JSON at {path}: {exc}") \
+                from exc
+    if not isinstance(point, dict) \
+            or not isinstance(point.get("suite"), dict):
+        raise SerializationError(
+            f"malformed trajectory point at {path}: no 'suite' mapping")
+    if point.get("schema") != SCHEMA_VERSION:
+        raise SerializationError(
+            f"unsupported trajectory schema {point.get('schema')!r} "
+            f"at {path} (expected {SCHEMA_VERSION})")
+    for probe, snap in point["suite"].items():
+        _check_probe(probe, snap)
     return point
 
 

@@ -766,9 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "simulator; default 4 when only "
                               "--shards/--autoscale given)")
     serve_p.add_argument("--shards", type=int, default=1,
-                         help="worker processes for the fleet cells; "
-                              "merged metrics are byte-identical for "
-                              "any shard count")
+                         help="worker processes for the fleet cells "
+                              "(runs without --autoscale); merged "
+                              "metrics are byte-identical for any "
+                              "shard count")
     serve_p.add_argument("--autoscale", action="store_true",
                          help="enable the SLO-burn autoscaler "
                               "(fleet mode)")

@@ -54,6 +54,7 @@ import hashlib
 import heapq
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,9 +63,10 @@ from ..errors import BenchmarkError, HardwareError, SerializationError
 from ..faults.guard import AdaptiveEnvelope
 from ..faults.server import DOWNTIME_SPREAD_LO, ServerFaultStream
 from ..faults.spec import FaultSpec
+from ..hardware.device import DeviceSpec
 from ..hardware.registry import device_spec
 from ..latency.batching import BatchingModel
-from ..models.spec import model_spec
+from ..models.spec import ModelSpec, model_spec
 from ..obs import current_telemetry, current_tracer
 from ..obs.slo import SloPolicy, SloTracker
 from ..rng import make_rng
@@ -83,13 +85,53 @@ _INF = float("inf")
 SNAPSHOT_SCHEMA = 3
 
 _NUMBER = (int, float)
-#: Top-level snapshot fields and the types ``restore`` accepts.
+_NONE = (type(None),)
+#: Snapshot fields and the types ``restore`` accepts: top level, then
+#: per entry of ``replicas``, ``replicas[i].queue``,
+#: ``replicas[i].in_flight``, ``meta``, ``crash_events`` and
+#: ``report``.
 _SNAPSHOT_FIELDS: Dict[str, Tuple[type, ...]] = {
     "config_sha256": (str,), "now": _NUMBER, "arr_i": (int,),
     "last_done": _NUMBER, "rr_cursor": (int,), "specs": (list,),
     "replicas": (list,), "meta": (list,), "retry": (list,),
     "crash_events": (list,), "report": (dict,), "rng": (dict,),
-    "envelope_baseline": _NUMBER + (type(None),),
+    "envelope_baseline": _NUMBER + _NONE,
+}
+_REPLICA_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "queue": (dict,), "in_flight": (dict,) + _NONE,
+    "down_until": _NUMBER + _NONE, "crash_idx": (int,),
+    "retiring": (bool,),
+}
+_QUEUE_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "streams": (dict,), "rr": (list,)}
+_IN_FLIGHT_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "done_ms": _NUMBER, "exec_ms": _NUMBER, "started_ms": _NUMBER,
+    "batch": (list,)}
+_META_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "request": (list,), "locations": (list,), "reroutes": (int,),
+    "timeout_at": _NUMBER + _NONE, "hedge_at": _NUMBER + _NONE,
+    "crash_event": (int,) + _NONE,
+}
+_CRASH_EVENT_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "replica": (int,), "t_ms": _NUMBER, "requeued": (int,),
+    "last_done": _NUMBER + _NONE,
+}
+#: One entry per :class:`ClusterReport` field, so a report with a
+#: missing, mistyped or unknown field is refused.
+_REPORT_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "router": (str,), "replicas": (list,), "deadline_ms": _NUMBER,
+    "generated": (int,), "admitted": (int,), "completed": (int,),
+    "violations": (int,), "shed": (dict,),
+    "per_stream_completed": (dict,), "per_stream_shed": (dict,),
+    "latencies_ms": (list,), "completion_ms": (list,),
+    "queue_waits_ms": (list,), "batch_sizes": (list,),
+    "replica_completed": (dict,), "replica_batches": (dict,),
+    "replica_busy_ms": (dict,), "replica_down_ms": (dict,),
+    "replica_crashes": (dict,), "downtimes_ms": (list,),
+    "crash_recoveries_ms": (list,), "requeued_on_crash": (int,),
+    "timeout_reroutes": (int,), "retries": (int,), "hedged": (int,),
+    "hedge_wins": (int,), "hedge_wasted_ms": _NUMBER,
+    "lost_exec_ms": _NUMBER, "makespan_ms": _NUMBER,
 }
 
 #: Shed/loss reasons tallied by the cluster router.
@@ -429,6 +471,63 @@ class ClusterReport:
         }
 
 
+def _check_fields(obj: object, spec: Dict[str, Tuple[type, ...]],
+                  path: str = "") -> None:
+    """Raise :class:`SerializationError`, naming the JSON path, unless
+    ``obj`` is an object holding every field of ``spec`` with one of
+    its types (a bool counts as a number only where bool is listed)."""
+    if not isinstance(obj, dict):
+        raise SerializationError(
+            f"snapshot field {path!r} has type {type(obj).__name__}")
+    for name, types in spec.items():
+        where = f"{path}.{name}" if path else name
+        if name not in obj:
+            raise SerializationError(f"snapshot lacks field {where!r}")
+        value = obj[name]
+        if (isinstance(value, bool) and bool not in types) \
+                or not isinstance(value, types):
+            raise SerializationError(
+                f"snapshot field {where!r} has type "
+                f"{type(value).__name__}")
+
+
+def _check_snapshot(snap: dict) -> None:
+    """Validate a snapshot's fields, nested entries included."""
+    _check_fields(snap, _SNAPSHOT_FIELDS)
+    for r, rep in enumerate(snap["replicas"]):
+        path = f"replicas[{r}]"
+        _check_fields(rep, _REPLICA_FIELDS, path)
+        _check_fields(rep["queue"], _QUEUE_FIELDS, f"{path}.queue")
+        if rep["in_flight"] is not None:
+            _check_fields(rep["in_flight"], _IN_FLIGHT_FIELDS,
+                          f"{path}.in_flight")
+    for i, entry in enumerate(snap["meta"]):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], list) and len(entry[0]) == 2):
+            raise SerializationError(
+                f"snapshot field 'meta[{i}]' is not a [key, entry] pair")
+        _check_fields(entry[1], _META_FIELDS, f"meta[{i}][1]")
+    for i, ev in enumerate(snap["crash_events"]):
+        _check_fields(ev, _CRASH_EVENT_FIELDS, f"crash_events[{i}]")
+    _check_fields(snap["report"], _REPORT_FIELDS, "report")
+    unknown = sorted(set(snap["report"]) - set(_REPORT_FIELDS))
+    if unknown:
+        raise SerializationError(
+            f"snapshot field 'report.{unknown[0]}' is unknown")
+
+
+def _batch_latency_ms(batching: BatchingModel, model: ModelSpec,
+                      device: DeviceSpec, cache: Dict[int, float],
+                      batch: int) -> float:
+    """Nominal latency of a ``batch`` on one replica, memoised in
+    that replica's ``cache``."""
+    out = cache.get(batch)
+    if out is None:
+        out = batching.batch_point(model, device, batch).batch_latency_ms
+        cache[batch] = out
+    return out
+
+
 # Event priorities at equal simulation time (total order, so reruns
 # and restored runs replay identically).
 _P_COMPLETE, _P_CRASH, _P_RESTORE, _P_RETRY, _P_ARRIVAL, _P_TIMEOUT, \
@@ -509,13 +608,9 @@ class ClusterSimulator:
 
     def batch_latency_ms(self, replica: int, batch: int) -> float:
         """Nominal batch execution latency on ``replica`` (cached)."""
-        out = self._lat_cache[replica].get(batch)
-        if out is None:
-            out = self.batching.batch_point(
-                self._models[replica], self._devices[replica],
-                batch).batch_latency_ms
-            self._lat_cache[replica][batch] = out
-        return out
+        return _batch_latency_ms(
+            self.batching, self._models[replica], self._devices[replica],
+            self._lat_cache[replica], batch)
 
     def predicted_done_ms(self, replica: int, t_ms: float) -> float:
         """Completion estimate for a request joining ``replica`` now,
@@ -680,8 +775,13 @@ class ClusterSimulator:
     def _make_batcher(self, replica: int) -> MicroBatcher:
         spec = self._live_specs[replica]
         cap = self.max_batch[replica]
+        # Bound to the replica's pieces, not to ``self``: a batcher
+        # referencing its simulator would make every simulator a
+        # reference cycle, freed only by the cycle collector.
         return MicroBatcher(
-            cap, lambda b, _r=replica: self.batch_latency_ms(_r, b),
+            cap, partial(_batch_latency_ms, self.batching,
+                         self._models[replica], self._devices[replica],
+                         self._lat_cache[replica]),
             capacity=max(spec.queue_capacity, cap))
 
     # -- routing -------------------------------------------------------------
@@ -1220,20 +1320,14 @@ class ClusterSimulator:
         resumed run is byte-identical to the uninterrupted one.
 
         Raises :class:`BenchmarkError` on a foreign schema version and
-        :class:`SerializationError`, naming the field, on a missing or
-        mistyped top-level field or a snapshot of another config.
+        :class:`SerializationError`, naming the field's JSON path
+        (e.g. ``replicas[0].queue``), on a missing or mistyped field —
+        nested entries included — or a snapshot of another config.
         """
         if snap.get("schema") != SNAPSHOT_SCHEMA:
             raise BenchmarkError(
                 f"unsupported snapshot schema {snap.get('schema')!r}")
-        for name, types in _SNAPSHOT_FIELDS.items():
-            if name not in snap:
-                raise SerializationError(f"snapshot lacks field {name!r}")
-            value = snap[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise SerializationError(
-                    f"snapshot field {name!r} has type "
-                    f"{type(value).__name__}")
+        _check_snapshot(snap)
         if snap["config_sha256"] != _config_digest(config):
             raise SerializationError(
                 "snapshot field 'config_sha256' does not match the "

@@ -12,11 +12,13 @@ execution detail:
   pool, fault stream, and :class:`~repro.serving.cluster.
   ClusterSimulator` event loop.  Cells are atomic and deterministic:
   the same cell produces byte-identical results wherever it runs.
-* **shards** — the unit of execution.  ``shards=N`` fans the cells
-  out over ``N`` ``parallel_map`` worker processes; ``shards=1`` runs
-  them in-process.  Because cells never interact and the merge below
-  is canonical, the merged fleet metrics are byte-identical for 1 vs
-  N shards — the machine-checked *shard-count invariance* claim of
+* **shards** — the unit of execution.  ``shards=N`` fans a flat
+  run's cells out over ``N`` ``parallel_map`` worker processes;
+  ``shards=1`` runs them in-process.  An autoscaled run advances its
+  cells in lock-step epochs in this process whatever ``shards`` says.
+  Because cells never interact and the merge below is canonical, the
+  merged fleet metrics are byte-identical for 1 vs N shards — the
+  machine-checked *shard-count invariance* claim of
   ``exp_fleet_scale``.
 * **merge algebra** — per-cell results are merged as a *keyed set*,
   folded in sorted-cell order: counters add, latency distributions
@@ -27,9 +29,10 @@ execution detail:
   telemetry through :mod:`repro.obs.slo` fast/slow burn windows once
   per scaling epoch and adds or drains one replica per cell between
   epochs (drain rides :meth:`ClusterSimulator.drain_replica`, which
-  re-homes queued work without spending retry budgets).  Decisions
-  are a pure function of merged telemetry, so they too are identical
-  regardless of shard count.
+  re-homes queued work without spending retry budgets).  Each cell's
+  simulator is built once per run and advanced in place, epoch after
+  epoch.  Decisions are a pure function of merged telemetry, so they
+  too are identical regardless of shard count.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import ConfigError
+from ..errors import BenchmarkError, ConfigError
 from ..faults.server import CellFault, cell_fault_plan
 from ..obs.sketch import QuantileSketch
 from ..obs.slo import SloTracker
@@ -126,9 +129,10 @@ class AutoscalePolicy:
 class FleetSimConfig:
     """Workload, partitioning, and scaling knobs for one fleet run.
 
-    ``shards`` is *only* the worker-process count — it never appears
-    in the simulation or the merged metrics, which is what makes
-    shard-count invariance hold by construction.  ``ramp`` divides the
+    ``shards`` is *only* the worker-process count of a run without
+    ``autoscale`` — it never appears in the simulation or the merged
+    metrics, which is what makes shard-count invariance hold by
+    construction.  ``ramp`` divides the
     run into equal segments with per-segment arrival-rate multipliers
     (the load ramp the autoscaler is judged against).
     """
@@ -398,7 +402,7 @@ def merge_cell_sketches(
 
 def merge_cell_reports(
         cfg: FleetSimConfig,
-        reports: Dict[int, Union[ClusterReport, dict]]) -> FleetReport:
+        reports: Mapping[int, Union[ClusterReport, dict]]) -> FleetReport:
     """Merge per-cell reports into one :class:`FleetReport`.
 
     Accepts either live :class:`ClusterReport` objects or their
@@ -411,7 +415,7 @@ def merge_cell_reports(
 
 def _merge_cell_reports(
         cfg: FleetSimConfig,
-        reports: Dict[int, Union[ClusterReport, dict]]) -> FleetReport:
+        reports: Mapping[int, Union[ClusterReport, dict]]) -> FleetReport:
     partition = cell_streams(cfg.num_streams, cfg.num_cells)
     fleet = FleetReport(
         num_cells=cfg.num_cells, num_streams=cfg.num_streams,
@@ -527,13 +531,12 @@ class Autoscaler:
 
 
 def _map_cells(task, items: List[tuple], shards: int) -> List[dict]:
-    """Run cell tasks over ``shards`` workers.
+    """Run start-to-drain cell tasks over ``shards`` workers.
 
-    Always routed through :func:`~repro.bench.parallel.parallel_map`
-    (which runs in-process for one worker or few items) so the traced
-    span tree — ``map_item`` wrappers included — has the same shape
-    for every shard count: the profile analogue of the merged-metrics
-    shard invariance.
+    Routed through :func:`~repro.bench.parallel.parallel_map` (which
+    runs in-process for one worker or few items); traced, every cell
+    runs in a ``map_item`` span under the caller's span wherever it
+    ran, so the profile of the flat fleet is shard-count invariant.
     """
     from ..bench.parallel import parallel_map
     return parallel_map(task, items, workers=shards)
@@ -548,43 +551,36 @@ def _cell_task(item: tuple) -> dict:
     return {"cell": cell, "report": asdict(report)}
 
 
-def _cell_epoch_task(item: tuple) -> dict:
-    """Worker body: advance one cell by one scaling epoch.
+def _advance_cell(cell: int, sim: ClusterSimulator,
+                  instruction: Optional[str],
+                  pause_ms: Optional[float]) -> dict:
+    """Advance one resident cell by one scaling epoch.
 
-    Restores the cell from its snapshot (or cold-starts it), applies
-    the fleet-wide scale instruction, runs to the epoch boundary
-    (``pause_ms=None`` drains to empty), and ships back the new
-    snapshot plus this epoch's completion telemetry.
+    Applies the fleet-wide scale instruction, runs to the epoch
+    boundary (``pause_ms=None`` drains to empty) and returns only this
+    epoch's completion telemetry — plus the final report once the cell
+    has drained.
     """
-    cfg, cell, snap, instruction, pause_ms = item
-    ccfg = cluster_config_for_cell(cfg, cell)
-    arrivals = cell_arrivals(cfg, cell)
-    if snap is None:
-        sim = ClusterSimulator(ccfg, arrivals=arrivals)
-        n0, busy0, shed0 = 0, 0.0, 0
-    else:
-        sim = ClusterSimulator.restore(ccfg, snap, arrivals=arrivals)
+    with current_tracer().span("fleet.cell", cell=cell):
         rep0 = sim.live_report
-        n0 = len(rep0.latencies_ms)
-        busy0 = sum(rep0.replica_busy_ms.values())
-        shed0 = sum(rep0.shed.values())
-    if instruction == "add":
-        sim.add_replica(cfg.replicas_per_cell[0])
-    elif instruction == "drain":
-        sim.drain_replica(sim.active_indices()[-1])
-    final = sim.run(pause_at_ms=pause_ms)
-    rep = sim.live_report
-    events = [[rep.completion_ms[i], rep.latencies_ms[i]]
-              for i in range(n0, len(rep.completion_ms))]
-    return {
-        "cell": cell,
-        "events": events,
-        "busy_delta": sum(rep.replica_busy_ms.values()) - busy0,
-        "shed_delta": sum(rep.shed.values()) - shed0,
-        "active_replicas": sim.active_replicas,
-        "report": asdict(rep) if final is not None else None,
-        "snapshot": sim.snapshot() if final is None else None,
-    }
+        n0 = 0 if rep0 is None else len(rep0.latencies_ms)
+        busy0 = 0.0 if rep0 is None else sum(rep0.replica_busy_ms.values())
+        shed0 = 0 if rep0 is None else sum(rep0.shed.values())
+        if instruction == "add":
+            sim.add_replica(sim.config.replicas[0])
+        elif instruction == "drain":
+            sim.drain_replica(sim.active_indices()[-1])
+        final = sim.run(pause_at_ms=pause_ms)
+        rep = sim.live_report
+        assert rep is not None
+        return {
+            "events": list(zip(rep.completion_ms[n0:],
+                               rep.latencies_ms[n0:])),
+            "busy_delta": sum(rep.replica_busy_ms.values()) - busy0,
+            "shed_delta": sum(rep.shed.values()) - shed0,
+            "active_replicas": sim.active_replicas,
+            "report": final,
+        }
 
 
 class FleetSimulator:
@@ -592,9 +588,9 @@ class FleetSimulator:
 
     Without autoscaling every cell runs start-to-drain in one worker
     task; with it, the run proceeds in lock-step scaling epochs —
-    every epoch each cell advances to the boundary in a worker, the
-    parent merges the epoch's completion telemetry canonically, asks
-    the :class:`Autoscaler` for a decision, and broadcasts it as the
+    every epoch each resident cell advances in place to the boundary,
+    the epoch's completion telemetry is merged canonically, the
+    :class:`Autoscaler` decides, and the decision is broadcast as the
     next epoch's instruction.
     """
 
@@ -626,11 +622,13 @@ class FleetSimulator:
         pol = cfg.autoscale
         assert pol is not None
         cells = active_cells(cfg)
+        # Each cell's simulator is built once and advanced in place,
+        # epoch after epoch, in this process; none outlives the run.
+        sims = {c: make_cell_simulator(cfg, c) for c in cells}
         scaler = Autoscaler(pol, cfg.resolved_deadline_ms)
         epoch_ms = pol.epoch_s * 1000.0
         n_epochs = int(math.ceil(cfg.duration_s * 1000.0 / epoch_ms))
-        snaps: Dict[int, Optional[dict]] = {c: None for c in cells}
-        reports: Dict[int, dict] = {}
+        reports: Dict[int, ClusterReport] = {}
         instruction: Optional[str] = None
         count = len(cfg.replicas_per_cell)
         replica_seconds = 0.0
@@ -641,10 +639,14 @@ class FleetSimulator:
             if not pending:
                 break
             pause = None if k == n_epochs else (k + 1) * epoch_ms
-            items = [(cfg, c, snaps[c], instruction, pause)
-                     for c in pending]
-            results = _map_cells(_cell_epoch_task, items, cfg.shards)
-            results.sort(key=lambda r: r["cell"])
+            results = []
+            for c in pending:
+                try:
+                    results.append(
+                        _advance_cell(c, sims[c], instruction, pause))
+                except Exception as exc:  # noqa: BLE001 — re-raise typed
+                    raise BenchmarkError(
+                        f"cell {c} failed: {exc}") from exc
             # Canonical event order: time-major, sorted-cell minor
             # (the sort is stable and per-cell events are already
             # time-ordered) — identical for any shard count.
@@ -655,14 +657,12 @@ class FleetSimulator:
             active_total = 0
             busy_total = 0.0
             shed_total = 0
-            for r in results:
+            for cell, r in zip(pending, results):
                 active_total += r["active_replicas"]
                 busy_total += r["busy_delta"]
                 shed_total += r["shed_delta"]
                 if r["report"] is not None:
-                    reports[r["cell"]] = r["report"]
-                else:
-                    snaps[r["cell"]] = r["snapshot"]
+                    reports[cell] = r["report"]
             if pause is None:
                 break
             replica_seconds += active_total * pol.epoch_s

@@ -28,7 +28,7 @@ from repro.cli import main
 from repro.core.fleet import (FleetConfig, FleetScheduler,
                               SchedulingPolicy)
 from repro.core.pipeline import PipelineConfig, VipPipeline
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SerializationError
 from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.faults.health import HealthState
 from repro.obs import (Aggregator, BurnWindow, MonitorSession,
@@ -431,6 +431,41 @@ class TestBenchTrack:
     def test_bad_label_rejected(self, tmp_path):
         with pytest.raises(Exception):
             trajectory.write_point(str(tmp_path), "a/b", {})
+
+    @pytest.mark.parametrize("field, value", [
+        ("p99", "NaN"), ("p99", float("nan")), ("p50", float("inf")),
+        ("mean", None), ("p99", True), ("count", 1.5), ("count", -1),
+        ("count", True), ("dropped", "0"), ("exact", 1),
+    ])
+    def test_malformed_probe_rejected(self, tmp_path, field, value):
+        sketch = QuantileSketch()
+        for v in (1.0, 2.0, 3.0):
+            sketch.observe(v)
+        path = trajectory.write_point(
+            str(tmp_path), "bad", {"probe/a": sketch.snapshot()})
+        assert trajectory.load_point(path)["suite"]["probe/a"]["count"] \
+            == 3
+        point = json.loads(open(path, encoding="utf-8").read())
+        point["suite"]["probe/a"][field] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(point))
+        with pytest.raises(SerializationError,
+                           match=f"'probe/a'.*'{field}'"):
+            trajectory.load_point(path)
+
+    def test_empty_sketch_and_point_shape(self, tmp_path):
+        path = trajectory.write_point(
+            str(tmp_path), "empty",
+            {"probe/e": QuantileSketch().snapshot()})
+        assert trajectory.load_point(path)["suite"]["probe/e"]["p99"] \
+            is None
+        for doc in ('{"schema": 1}', '{"schema": 1, "suite": []}',
+                    '{"schema": 2, "suite": {}}', "[1, 2",
+                    '{"schema": 1, "suite": {"probe/x": 3}}'):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+            with pytest.raises(SerializationError):
+                trajectory.load_point(path)
 
 
 class TestCliSurfaces:

@@ -13,16 +13,18 @@ The load-bearing guarantees of :mod:`repro.serving.cluster`:
   ladder kills requests on a single server (the point of replication).
 """
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.serving.cluster as cluster_mod
 from repro.errors import (BenchmarkError, ConfigError,
                           SerializationError)
 from repro.faults import (AdaptiveEnvelope, FaultInjector, FaultKind,
                           FaultSpec, ServerFaultStream)
 from repro.obs import TelemetryBus, use_telemetry
-from repro.serving import (ClusterConfig, ClusterSimulator,
+from repro.serving import (ClusterConfig, ClusterReport, ClusterSimulator,
                            MicroBatcher, ReplicaSpec, Request,
                            RouterPolicy, default_chaos_faults)
 
@@ -370,6 +372,69 @@ class TestCheckpointRestore:
             ClusterSimulator.restore(other, good)
         resumed = ClusterSimulator.restore(cfg, good).resume()
         assert resumed.conservation_holds()
+
+    def test_every_dropped_nested_field_is_named(self):
+        # Paused inside the crash aftermath: replica 0 has a batch in
+        # flight, requests are outstanding and one crash is recorded,
+        # so every nested entry the snapshot can hold is present.
+        cfg = ClusterConfig(seed=7, faults=CHAOS)
+        sim = ClusterSimulator(cfg)
+        assert sim.run(pause_at_ms=4000.0) is None
+        good = json.loads(json.dumps(sim.snapshot()))
+        assert good["replicas"][0]["in_flight"] is not None
+        assert good["meta"] and good["crash_events"]
+        nested = {
+            "replicas[0]": good["replicas"][0],
+            "replicas[0].queue": good["replicas"][0]["queue"],
+            "replicas[0].in_flight": good["replicas"][0]["in_flight"],
+            "meta[0][1]": good["meta"][0][1],
+            "crash_events[0]": good["crash_events"][0],
+            "report": good["report"],
+        }
+        paths = [f"{parent}.{name}" for parent, entry in nested.items()
+                 for name in entry]
+        assert "report.latencies_ms" in paths
+        assert len(paths) > 40
+        for path in paths:
+            snap = json.loads(json.dumps(good))
+            parent, name = path.rsplit(".", 1)
+            entry = snap
+            for part in parent.replace("]", "").replace("[", ".") \
+                    .split("."):
+                entry = entry[int(part) if part.isdigit() else part]
+            del entry[name]
+            with pytest.raises(SerializationError) as err:
+                ClusterSimulator.restore(cfg, snap)
+            assert repr(path) in str(err.value)
+
+    def test_report_field_table_covers_cluster_report(self):
+        # A ClusterReport field added without a snapshot type fails
+        # here, not as an unreadable snapshot.
+        names = [f.name for f in dataclasses.fields(ClusterReport)]
+        assert list(cluster_mod._REPORT_FIELDS) == names
+
+    @pytest.mark.parametrize("corrupt, path", [
+        (lambda s: s["replicas"][0].update(retiring=1),
+         "replicas[0].retiring"),
+        (lambda s: s["replicas"][1].update(crash_idx=True),
+         "replicas[1].crash_idx"),
+        (lambda s: s["replicas"].__setitem__(0, []), "replicas[0]"),
+        (lambda s: s["meta"].__setitem__(0, [[1, 2]]), "meta[0]"),
+        (lambda s: s["meta"][0][1].update(reroutes="0"),
+         "meta[0][1].reroutes"),
+        (lambda s: s["report"].update(latencies_ms={}),
+         "report.latencies_ms"),
+        (lambda s: s["report"].update(surplus=0), "report.surplus"),
+    ])
+    def test_mistyped_nested_field_is_named(self, corrupt, path):
+        cfg = ClusterConfig(seed=7, faults=CHAOS)
+        sim = ClusterSimulator(cfg)
+        assert sim.run(pause_at_ms=4000.0) is None
+        snap = json.loads(json.dumps(sim.snapshot()))
+        corrupt(snap)
+        with pytest.raises(SerializationError) as err:
+            ClusterSimulator.restore(cfg, snap)
+        assert repr(path) in str(err.value)
 
 
 class TestClusterObservability:

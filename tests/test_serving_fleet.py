@@ -9,18 +9,23 @@ chaos fault confined to one cell never leaks into fleet-wide loss.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 
 import pytest
 
-from repro.errors import ConfigError
+import repro.serving.fleet as fleet_mod
+from repro.errors import BenchmarkError, ConfigError
 from repro.faults.server import cell_fault_plan
 from repro.faults.spec import FaultKind, FaultSpec
+from repro.obs import TelemetryBus, Tracer, use_telemetry, use_tracer
 from repro.obs.sketch import QuantileSketch
-from repro.serving import (AutoscalePolicy, FleetSimConfig,
-                           FleetSimulator, ReplicaSpec, generate_arrivals)
-from repro.serving.fleet import (active_cells, cell_arrivals,
+from repro.serving import (AutoscalePolicy, ClusterSimulator,
+                           FleetSimConfig, FleetSimulator, ReplicaSpec,
+                           generate_arrivals)
+from repro.serving.fleet import (_advance_cell, active_cells,
+                                 cell_arrivals,
                                  cell_streams, cluster_config_for_cell,
                                  generate_fleet_arrivals,
                                  merge_cell_reports,
@@ -69,6 +74,13 @@ SCHEDULE_SHA256 = {
     "flat-nojitter": "620e04f4e8ce6bcec22df4a7309235a3"
                      "0588e7a8c26e3b95bba12e391803d971",
 }
+
+
+#: SHA-256 of the autoscaled ``ramped`` fleet's summary JSON (sorted
+#: keys, ``autoscale_events`` included), recorded when every epoch still
+#: snapshotted, restored and regenerated each cell.
+RAMPED_SUMMARY_SHA256 = ("58d40e606ad8c18f2efb326b0f6c89f2"
+                         "09b6b5e41243e32317f712c594757bbf")
 
 
 def schedule_sha256(reqs) -> str:
@@ -258,6 +270,85 @@ class TestShardInvariance:
         fleet = FleetSimulator(small_config()).run()
         assert fleet.conservation_holds()
         assert fleet.generated == fleet.completed + fleet.total_shed
+
+
+class TestResidentCells:
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_autoscaled_summary_is_pinned(self, shards):
+        cfg = dataclasses.replace(SCHEDULE_CONFIGS["ramped"],
+                                  shards=shards)
+        summary = FleetSimulator(cfg).run().summary()
+        assert "add" in {e["action"]
+                         for e in summary["autoscale_events"]}
+        digest = hashlib.sha256(blob(summary).encode()).hexdigest()
+        assert digest == RAMPED_SUMMARY_SHA256
+
+    def test_resident_cell_matches_snapshot_restore_each_epoch(self):
+        # One cell advanced two ways through the same add/drain
+        # schedule: in place, and through a JSON snapshot -> restore
+        # at every epoch boundary.  Both must agree on the state and
+        # the epoch telemetry at every boundary, and on the report.
+        cfg = small_config(num_streams=12, num_cells=1, duration_s=6.0,
+                           ramp=(1.0, 3.0, 1.0))
+        ccfg = cluster_config_for_cell(cfg, 0)
+        arrivals = cell_arrivals(cfg, 0)
+        plan = [None, "add", "add", None, "drain", "drain"]
+        resident = ClusterSimulator(ccfg, arrivals=arrivals)
+        revived = ClusterSimulator(ccfg, arrivals=arrivals)
+        for k, instruction in enumerate(plan + [None]):
+            pause = None if k == len(plan) else (k + 1) * 1000.0
+            a = _advance_cell(0, resident, instruction, pause)
+            b = _advance_cell(0, revived, instruction, pause)
+            assert a == b  # telemetry, deltas and (last) the report
+            if pause is None:
+                assert a["report"] is not None
+                break
+            assert a["events"] and a["report"] is None
+            snap = json.loads(json.dumps(revived.snapshot()))
+            assert json.loads(json.dumps(resident.snapshot())) == snap
+            revived = ClusterSimulator.restore(ccfg, snap,
+                                               arrivals=arrivals)
+        assert len(resident.live_report.replicas) == 3
+        assert resident.active_replicas == 1
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_no_cell_simulator_survives_a_run(self, shards, monkeypatch):
+        def live() -> int:
+            gc.collect()
+            return sum(isinstance(o, ClusterSimulator)
+                       for o in gc.get_objects())
+
+        def failing_advance(cell, sim, instruction, pause_ms):
+            if cell == 2 and pause_ms == 3000.0:
+                raise RuntimeError("cell fault")
+            return advance(cell, sim, instruction, pause_ms)
+
+        cfg = small_config(num_streams=12, ramp=(1.0, 3.0, 1.0),
+                           autoscale=AutoscalePolicy(), shards=shards)
+        base = live()
+        FleetSimulator(cfg).run()
+        assert live() == base
+        advance = fleet_mod._advance_cell
+        monkeypatch.setattr(fleet_mod, "_advance_cell", failing_advance)
+        with pytest.raises(BenchmarkError, match="cell 2 failed"):
+            FleetSimulator(cfg).run()
+        assert live() == base
+
+    def test_observations_same_at_1_and_2_shards(self):
+        seen = []
+        for shards in (1, 2):
+            cfg = small_config(num_streams=12, ramp=(1.0, 3.0, 1.0),
+                               autoscale=AutoscalePolicy(), shards=shards)
+            tracer, bus = Tracer(), TelemetryBus()
+            with use_tracer(tracer), use_telemetry(bus), \
+                    tracer.span("caller"):
+                FleetSimulator(cfg).run()
+            spans = tracer.finished_spans()
+            caller = next(sp for sp in spans if sp.name == "caller")
+            cells = [sp for sp in spans if sp.name == "fleet.cell"]
+            assert all(sp.parent_id == caller.span_id for sp in cells)
+            seen.append((len(cells), len(bus.samples)))
+        assert seen[0] == seen[1] and min(seen[0]) > 0
 
 
 class TestChaosUnderSharding:
