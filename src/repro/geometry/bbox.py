@@ -106,16 +106,21 @@ def box_area(boxes: np.ndarray) -> np.ndarray:
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two box sets: ``(N, 4) x (M, 4) -> (N, M)``.
 
-    Fully broadcast; no copies of the inputs are made.
+    Fully broadcast.  The corners are laid out coordinate-major,
+    ``(2, N, M)``, so every ufunc runs a contiguous inner loop over
+    ``M`` instead of a length-2 one; each pair's arithmetic is the same
+    as in :func:`pairwise_iou`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])   # (N, M, 2)
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])   # (N, M, 2)
+    at = np.ascontiguousarray(a.T)[:, :, None]        # (4, N, 1)
+    bt = np.ascontiguousarray(b.T)[:, None, :]        # (4, 1, M)
+    lt = np.maximum(at[:2], bt[:2])                   # (2, N, M)
+    rb = np.minimum(at[2:], bt[2:])                   # (2, N, M)
     wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
+    inter = wh[0] * wh[1]
     union = box_area(a)[:, None] + box_area(b)[None, :] - inter
     # union == 0 only for degenerate boxes; guard division.
     return np.where(union > 0.0, inter / np.maximum(union, 1e-12), 0.0)

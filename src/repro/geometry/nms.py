@@ -1,26 +1,36 @@
 """Non-maximum suppression kernels.
 
 The YOLO single-shot heads emit one candidate per grid cell; NMS collapses
-duplicates before evaluation.  Greedy NMS is inherently sequential in its
-outer loop but each suppression step is vectorised over all remaining
-candidates, which is the standard practical compromise (the inner IoU work
-dominates).
+duplicates before evaluation.  Greedy NMS is sequential in its outer loop,
+so the kernel hoists all IoU work out of it: one ``(N, N)`` overlap matrix
+of the score-sorted boxes, then one boolean row-OR per kept box.
 """
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 import numpy as np
 
 from ..errors import AnnotationError
-from .bbox import box_area, iou_matrix
+from .bbox import iou_matrix
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray,
-        iou_threshold: float = 0.7) -> np.ndarray:
+        iou_threshold: float = 0.7,
+        max_keep: Optional[int] = None) -> np.ndarray:
     """Greedy NMS; returns indices of kept boxes in descending score order.
 
     Parameters mirror the paper's training setup (IoU threshold 0.7,
     §3.1).  ``boxes`` is ``(N, 4)`` ``xyxy``; ``scores`` is ``(N,)``.
+    Ties in score keep input order.  ``max_keep`` stops the walk once
+    that many boxes are kept, so ``nms(..., max_keep=k)`` equals
+    ``nms(...)[:k]``.
+
+    The kernel builds the full ``(N, N)`` boolean overlap matrix, so
+    memory is O(N²).  Detector decoding passes at most one candidate per
+    grid cell (G² = 64 for the mini models), tens of KiB; callers with
+    thousands of candidates should pre-filter by score.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -33,32 +43,27 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     if not 0.0 < iou_threshold <= 1.0:
         raise AnnotationError(
             f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    if max_keep is not None and max_keep < 1:
+        raise AnnotationError(f"max_keep must be >= 1, got {max_keep}")
     n = len(boxes)
     if n == 0:
         return np.zeros((0,), dtype=np.intp)
 
     order = np.argsort(-scores, kind="stable")
+    ranked = boxes[order]
+    # over[p, q]: the p-th ranked box suppresses the q-th.
+    over = iou_matrix(ranked, ranked) > iou_threshold
+    limit = n if max_keep is None else min(max_keep, n)
     suppressed = np.zeros(n, dtype=bool)
-    keep = []
-    areas = box_area(boxes)
+    keep: List[int] = []
     for pos in range(n):
-        i = order[pos]
-        if suppressed[i]:
+        if suppressed[pos]:
             continue
-        keep.append(i)
-        rest = order[pos + 1:]
-        rest = rest[~suppressed[rest]]
-        if rest.size == 0:
-            continue
-        # Vectorised IoU of the kept box against all survivors.
-        lt = np.maximum(boxes[i, :2], boxes[rest, :2])
-        rb = np.minimum(boxes[i, 2:], boxes[rest, 2:])
-        wh = np.clip(rb - lt, 0.0, None)
-        inter = wh[:, 0] * wh[:, 1]
-        union = areas[i] + areas[rest] - inter
-        iou = np.where(union > 0.0, inter / np.maximum(union, 1e-12), 0.0)
-        suppressed[rest[iou > iou_threshold]] = True
-    return np.asarray(keep, dtype=np.intp)
+        keep.append(pos)
+        if len(keep) == limit:
+            break
+        suppressed |= over[pos]
+    return order[keep]
 
 
 def batched_nms(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
@@ -66,7 +71,8 @@ def batched_nms(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
     """Class-aware NMS: boxes of different classes never suppress each other.
 
     Implemented with the coordinate-offset trick (each class's boxes are
-    translated to a disjoint region) so a single :func:`nms` call suffices.
+    translated by a multiple of the coordinate span, ``max - min + 1``,
+    into a disjoint region) so a single :func:`nms` call suffices.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     classes = np.asarray(classes)
@@ -75,37 +81,6 @@ def batched_nms(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
             f"classes shape {classes.shape} does not match boxes")
     if boxes.size == 0:
         return np.zeros((0,), dtype=np.intp)
-    max_coord = float(boxes.max()) + 1.0
-    offsets = classes.astype(np.float64)[:, None] * max_coord
+    span = float(boxes.max()) - float(boxes.min()) + 1.0
+    offsets = classes.astype(np.float64)[:, None] * span
     return nms(boxes + offsets, scores, iou_threshold)
-
-
-def soft_nms(boxes: np.ndarray, scores: np.ndarray,
-             sigma: float = 0.5, score_threshold: float = 1e-3) -> np.ndarray:
-    """Gaussian Soft-NMS: decays overlapping scores instead of removing.
-
-    Returns the decayed score vector (same order as the input); callers
-    filter by ``score_threshold``.  Included as an ablation alternative to
-    greedy NMS for the crowded-pedestrian scenes in the dataset.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    if sigma <= 0:
-        raise AnnotationError(f"sigma must be positive, got {sigma}")
-    n = len(boxes)
-    if n == 0:
-        return scores
-    active = np.ones(n, dtype=bool)
-    iou = iou_matrix(boxes, boxes)
-    for _ in range(n):
-        live = np.flatnonzero(active & (scores > score_threshold))
-        if live.size == 0:
-            break
-        i = live[np.argmax(scores[live])]
-        active[i] = False
-        others = np.flatnonzero(active)
-        if others.size == 0:
-            break
-        decay = np.exp(-(iou[i, others] ** 2) / sigma)
-        scores[others] *= decay
-    return scores

@@ -11,7 +11,8 @@ are vectorised; separable convolution is used for Gaussian blur.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,28 +49,61 @@ def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.ascontiguousarray(img[rows[:, None], cols[None, :]])
 
 
-def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize, vectorised over the full output grid."""
-    if out_h <= 0 or out_w <= 0:
-        raise ConfigError(f"bad output size {out_h}x{out_w}")
-    img = np.asarray(img, dtype=np.float32)
-    h, w = img.shape[:2]
-    # Align-corners=False sampling grid.
+class _BilinearGrid(NamedTuple):
+    """Source rows/columns and weights of one bilinear resize."""
+
+    y0: np.ndarray
+    y1: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    wy: np.ndarray       # (out_h, 1, 1)
+    wy_rest: np.ndarray  # 1 - wy
+    wx: np.ndarray       # (1, out_w, 1)
+    wx_rest: np.ndarray  # 1 - wx
+
+
+@lru_cache(maxsize=64)
+def _bilinear_grid(h: int, w: int, out_h: int, out_w: int) -> _BilinearGrid:
+    """Align-corners=False sampling grid, built once per shape pair.
+
+    A stream letterboxes every frame at one shape, so the grid is
+    reused frame after frame.  The arrays are shared by every caller
+    and therefore read-only.
+    """
     ys = (np.arange(out_h, dtype=np.float32) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float32) + 0.5) * (w / out_w) - 0.5
     ys = np.clip(ys, 0.0, h - 1.0)
     xs = np.clip(xs, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0).astype(np.float32)[:, None, None]
     wx = (xs - x0).astype(np.float32)[None, :, None]
-    top = img[y0[:, None], x0[None, :]] * (1 - wx) \
-        + img[y0[:, None], x1[None, :]] * wx
-    bot = img[y1[:, None], x0[None, :]] * (1 - wx) \
-        + img[y1[:, None], x1[None, :]] * wx
-    return top * (1 - wy) + bot * wy
+    grid = _BilinearGrid(y0, np.minimum(y0 + 1, h - 1),
+                         x0, np.minimum(x0 + 1, w - 1),
+                         wy, 1 - wy, wx, 1 - wx)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize, vectorised over the full output grid.
+
+    Gathers the two source rows of every output row first, then the
+    columns within those rows, each with a one-axis ``take`` rather
+    than a 2-D fancy index.
+    """
+    if out_h <= 0 or out_w <= 0:
+        raise ConfigError(f"bad output size {out_h}x{out_w}")
+    img = np.asarray(img, dtype=np.float32)
+    h, w = img.shape[:2]
+    g = _bilinear_grid(h, w, out_h, out_w)
+    top_rows, bot_rows = img.take(g.y0, axis=0), img.take(g.y1, axis=0)
+    top = top_rows.take(g.x0, axis=1) * g.wx_rest \
+        + top_rows.take(g.x1, axis=1) * g.wx
+    bot = bot_rows.take(g.x0, axis=1) * g.wx_rest \
+        + bot_rows.take(g.x1, axis=1) * g.wx
+    return top * g.wy_rest + bot * g.wy
 
 
 def letterbox(img: np.ndarray, size: int,

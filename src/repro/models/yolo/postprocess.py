@@ -46,6 +46,9 @@ def decode_predictions(scores: np.ndarray, boxes: np.ndarray,
     if not 0.0 < conf_threshold < 1.0:
         raise ModelError(
             f"conf_threshold must be in (0, 1), got {conf_threshold}")
+    if max_detections < 1:
+        raise ModelError(
+            f"max_detections must be >= 1, got {max_detections}")
     out: List[List[Detection]] = []
     for i in range(scores.shape[0]):
         keep_mask = scores[i] >= conf_threshold
@@ -60,7 +63,7 @@ def decode_predictions(scores: np.ndarray, boxes: np.ndarray,
         if len(s) == 0:
             out.append([])
             continue
-        keep = nms(b, s, iou_threshold)[:max_detections]
+        keep = nms(b, s, iou_threshold, max_keep=max_detections)
         out.append([
             Detection(BBox(*b[j], cls=0, conf=float(s[j])),
                       score=float(s[j]))

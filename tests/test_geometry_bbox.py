@@ -94,6 +94,19 @@ class TestIouMatrix:
         a = boxes_to_array([BBox(0, 0, 1, 1)])
         assert iou_matrix(a, np.zeros((0, 4))).shape == (1, 0)
 
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_bitwise_equal_to_pairwise(self, n, m, seed):
+        # Every entry is computed as pairwise_iou computes that pair
+        # (zero-area boxes included), so NMS on either agrees exactly.
+        rng = np.random.default_rng(seed)
+        boxes = np.round(rng.uniform(0, 30, size=(n + m, 4)), 1)
+        boxes[:, 2:] = boxes[:, :2] + np.where(
+            rng.random((n + m, 2)) < 0.2, 0.0, boxes[:, 2:])
+        a, b = boxes[:n], boxes[n:]
+        pairs = pairwise_iou(np.repeat(a, m, axis=0), np.tile(b, (n, 1)))
+        assert iou_matrix(a, b).tobytes() == pairs.reshape(n, m).tobytes()
+
     @given(st.lists(boxes_strategy(), min_size=1, max_size=6),
            st.lists(boxes_strategy(), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)

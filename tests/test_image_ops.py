@@ -14,6 +14,33 @@ def make_image(h=32, w=32, seed=0):
     return rng.random((h, w, 3)).astype(np.float32)
 
 
+def seed_resize_bilinear(img, out_h, out_w):
+    """Reference: the per-call grid and 2-D gathers the cached grid
+    replaced."""
+    img = np.asarray(img, dtype=np.float32)
+    h, w = img.shape[:2]
+    ys = (np.arange(out_h, dtype=np.float32) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float32) + 0.5) * (w / out_w) - 0.5
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0).astype(np.float32)[:, None, None]
+    wx = (xs - x0).astype(np.float32)[None, :, None]
+    top = img[y0[:, None], x0[None, :]] * (1 - wx) \
+        + img[y0[:, None], x1[None, :]] * wx
+    bot = img[y1[:, None], x0[None, :]] * (1 - wx) \
+        + img[y1[:, None], x1[None, :]] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestValidate:
     def test_accepts_valid(self):
         img = make_image()
@@ -69,6 +96,51 @@ class TestResize:
         out = ops.resize_bilinear(img, h, w)
         assert out.min() >= img.min() - 1e-5
         assert out.max() <= img.max() + 1e-5
+
+
+class TestCachedGrid:
+    @given(st.integers(1, 48), st.integers(1, 48), st.integers(1, 48),
+           st.integers(1, 48), st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_resize_bitwise_equal_to_seed(self, h, w, out_h, out_w, seed):
+        # Covers upscale, downscale, mixed axes and 1-pixel edges.
+        img = make_image(h, w, seed=seed)
+        for _ in range(2):  # cold grid, then the cached one
+            assert_bitwise_equal(ops.resize_bilinear(img, out_h, out_w),
+                                 seed_resize_bilinear(img, out_h, out_w))
+
+    @pytest.mark.parametrize("h, w, out_h, out_w", [
+        (1, 1, 1, 1), (1, 1, 7, 5), (1, 9, 4, 1), (9, 1, 1, 4),
+        (96, 128, 48, 64), (20, 30, 64, 96)])
+    def test_resize_edges_bitwise_equal_to_seed(self, h, w, out_h, out_w):
+        img = make_image(h, w, seed=3)
+        assert_bitwise_equal(ops.resize_bilinear(img, out_h, out_w),
+                             seed_resize_bilinear(img, out_h, out_w))
+
+    @given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_letterbox_bitwise_equal_to_seed(self, h, w, size):
+        img = make_image(h, w, seed=h * 97 + w)
+        out, scale, (px, py) = ops.letterbox(img, size)
+        new_h, new_w = max(1, round(h * scale)), max(1, round(w * scale))
+        ref = np.full((size, size, 3), 0.447, dtype=np.float32)
+        ref[py:py + new_h, px:px + new_w] = seed_resize_bilinear(
+            img, new_h, new_w)
+        assert_bitwise_equal(out, ref)
+
+    def test_grid_is_read_only(self):
+        grid = ops._bilinear_grid(6, 9, 4, 13)
+        assert ops._bilinear_grid(6, 9, 4, 13) is grid
+        for arr in grid:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_output_is_writable_and_unshared(self):
+        img = make_image(12, 16)
+        a = ops.resize_bilinear(img, 6, 8)
+        a[...] = -1.0
+        b = ops.resize_bilinear(img, 6, 8)
+        assert_bitwise_equal(b, seed_resize_bilinear(img, 6, 8))
 
 
 class TestLetterbox:

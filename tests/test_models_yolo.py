@@ -179,6 +179,21 @@ class TestPostprocess:
         with pytest.raises(ModelError):
             decode_predictions(np.zeros((2, 3)), np.zeros((2, 4, 4)), 64)
 
+    @pytest.mark.parametrize("max_detections", [0, -1])
+    def test_max_detections_below_one_rejected(self, max_detections):
+        scores = np.array([[0.9]])
+        boxes = np.array([[[0, 0, 10, 10.0]]])
+        with pytest.raises(ModelError):
+            decode_predictions(scores, boxes, 64,
+                               max_detections=max_detections)
+
+    def test_max_detections_caps_in_score_order(self):
+        scores = np.array([[0.6, 0.9, 0.7, 0.8]])
+        boxes = np.array([[[0, 0, 5, 5], [10, 10, 15, 15],
+                           [20, 20, 25, 25], [30, 30, 35, 35.0]]])
+        dets = decode_predictions(scores, boxes, 64, max_detections=2)
+        assert [d.score for d in dets[0]] == [0.9, 0.8]
+
 
 class TestTraining:
     def test_loss_decreases(self, clean_frames):

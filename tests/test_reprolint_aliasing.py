@@ -276,6 +276,27 @@ class TestBorrowLifetime:
         assert res.violations == []
 
 
+class TestScanCache:
+    def test_files_with_colliding_ids_get_their_own_events(
+            self, tmp_path, monkeypatch):
+        # A freed tree's id can be reused by the next file's tree; force
+        # every id to collide so a cache keyed on id() serves stale
+        # events for the second snippet.
+        from repro.analysis import aliasing
+        monkeypatch.setattr(aliasing, "id", lambda obj: 0, raising=False)
+        clean = lint_snippet(tmp_path, """
+            def normalise(x):
+                return x / x.max()
+            """, name="a.py", select=["RL201"])
+        dirty = lint_snippet(tmp_path, """
+            def normalise(x):
+                x[:] = x / x.max()
+                return x
+            """, name="b.py", select=["RL201"])
+        assert rule_ids_of(clean) == []
+        assert rule_ids_of(dirty) == ["RL201"]
+
+
 class TestTamperRealBugs:
     """Re-introduce the two real aliasing bugs; the rules must fire."""
 
