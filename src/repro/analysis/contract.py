@@ -324,7 +324,7 @@ def _baseline_problem(doc: object) -> Optional[str]:
         return f"has schema {doc.get('schema')!r}, expected 1"
     if doc.get("deterministic") is not True:
         return ("is not deterministic — wall-clock baselines gate on "
-                "machine speed; recapture without --wallclock")
+                "machine speed; recapture with `repro profile`")
     paths = doc.get("paths")
     if not isinstance(paths, dict) or not paths:
         return "has an empty or missing 'paths' table"

@@ -14,9 +14,8 @@ cells of Jetson-class replica pools — through
 * **the partition admits parallelism** — the stable-hash cell
   partition is balanced enough that the work-balance speedup bound
   (total work over the largest cell's work) clears 3× at 4 cells.
-  (The wall-clock realisation of that bound lives in the bench-track
-  ``fleet/shard_wallclock`` probe, which is opt-in because wall-clock
-  is not golden-safe.)
+  The bound is a count, not a timing: wall-clock speed is measured
+  only by ``perfbench/``, never in a golden.
 * **autoscaling rides the ramp** — under a 3× square-wave load ramp
   the burn-rate autoscaler grows each cell's pool to the static-peak
   size for the peak and drains it afterwards without flapping,
@@ -92,8 +91,7 @@ def run() -> ExperimentResult:
         == _blob(auto_sharded.summary())
 
     # Work-balance bound on parallel speedup: total work over the
-    # largest cell's work (deterministic; the wall-clock realisation
-    # is the opt-in bench-track probe).
+    # largest cell's work (deterministic).
     per_cell_work = [v["generated"]
                      for v in static_min.per_cell.values()]
     speedup_bound = sum(per_cell_work) / max(per_cell_work)

@@ -18,11 +18,11 @@ dedicated probes covering hot paths no fast experiment reaches:
   probe suite, exercising the cluster event loop, ``fleet.cell``
   worker bodies and the canonical ``fleet.merge``.
 
-Captures default to the deterministic :class:`~repro.obs.profile.
+Captures run on the deterministic :class:`~repro.obs.profile.
 TickClock` (span duration = instrumented clock reads), which is what
 makes the committed ``profile_baseline/PROFILE_baseline.json`` a
-byte-stable, CI-gateable artifact; ``wallclock=True`` swaps in the
-real clock for on-machine profiling and marks the document ungateable.
+byte-stable, CI-gateable artifact.  They count clock reads, not time:
+wall-clock speed is measured by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -69,41 +69,20 @@ def _probe_nn_forward(shards: int) -> None:
         conv2.forward(h, training=False)
 
 
-#: Mode for the ``nn_forward_e2e`` probe.  ``"both"`` (the default, and
-#: the committed-baseline shape) runs the unfused and folded pipelines
-#: side by side under ``nn_e2e.unfused`` / ``nn_e2e.fused`` roots.
-#: ``"unfused"`` / ``"fused"`` run a single mode with *identical* span
-#: paths — that is how the committed before/after wallclock diff pair
-#: in ``profile_baseline/`` is captured (``repro profile
-#: nn_forward_e2e --wallclock --nn-e2e-mode <mode>``), so
-#: ``repro profile --diff`` compares the two on common paths.
-NN_E2E_MODE = "both"
-NN_E2E_MODES = ("both", "unfused", "fused")
-
-
 def _probe_nn_forward_e2e(shards: int) -> None:
-    """Mini-YOLO eval forward, unfused vs folded (see NN_E2E_MODE)."""
+    """Mini-YOLO eval forward, unfused and folded side by side under
+    ``nn_e2e.unfused`` / ``nn_e2e.fused`` roots."""
     del shards  # single-process by nature
     from ..models.yolo.mini import build_mini_yolo
     from ..obs import current_tracer
-    if NN_E2E_MODE not in NN_E2E_MODES:
-        raise BenchmarkError(
-            f"bad nn_forward_e2e mode {NN_E2E_MODE!r}; "
-            f"known: {NN_E2E_MODES}")
     tracer = current_tracer()
     x = make_rng(7, "profile-nn-e2e", "input").standard_normal(
         (1, 3, 64, 64)).astype(np.float32)
-    modes = ("unfused", "fused") if NN_E2E_MODE == "both" \
-        else (NN_E2E_MODE,)
-    for mode in modes:
+    for mode in ("unfused", "fused"):
         model = build_mini_yolo("yolov8", "n")
         if mode == "fused":
             model.fuse(workspace=True)
-        if NN_E2E_MODE == "both":
-            with tracer.span(f"nn_e2e.{mode}"):
-                for _ in range(2):
-                    model.forward(x, training=False)
-        else:
+        with tracer.span(f"nn_e2e.{mode}"):
             for _ in range(2):
                 model.forward(x, training=False)
 
@@ -177,20 +156,19 @@ def resolve_targets(targets: Sequence[str]) -> List[str]:
     return out
 
 
-def capture_profile(targets: Sequence[str], shards: int = 1,
-                    wallclock: bool = False) -> Profile:
+def capture_profile(targets: Sequence[str], shards: int = 1) -> Profile:
     """Run every target under one tracer; aggregate the spans.
 
     Probes run inside a ``probe:<name>`` root span; experiments run
     through :func:`run_experiment`, which roots them at
-    ``experiment:<id>``.  With the default tick clock the resulting
-    profile is byte-identical across reruns and shard counts.
+    ``experiment:<id>``.  Under the tick clock the resulting profile
+    is byte-identical across reruns and shard counts.
     """
     from .experiments.registry import run_experiment
     names = resolve_targets(targets)
     if shards < 1:
         raise BenchmarkError(f"need >= 1 shard, got {shards}")
-    tracer = Tracer() if wallclock else Tracer(clock=TickClock())
+    tracer = Tracer(clock=TickClock())
     with use_tracer(tracer):
         for name in names:
             probe = PROBES.get(name)
@@ -199,17 +177,13 @@ def capture_profile(targets: Sequence[str], shards: int = 1,
                     probe(shards)
             else:
                 run_experiment(name, enforce_claims=False)
-    return build_profile(tracer.finished_spans(),
-                         quantize=not wallclock)
+    return build_profile(tracer.finished_spans())
 
 
-def capture_document(targets: Sequence[str], shards: int = 1,
-                     wallclock: bool = False) -> dict:
+def capture_document(targets: Sequence[str], shards: int = 1) -> dict:
     """Capture and wrap as the machine-readable profile document."""
-    profile = capture_profile(targets, shards=shards,
-                              wallclock=wallclock)
-    return profile_document(profile, targets=resolve_targets(targets),
-                            deterministic=not wallclock)
+    profile = capture_profile(targets, shards=shards)
+    return profile_document(profile, targets=resolve_targets(targets))
 
 
 def write_profile(path: str, doc: dict) -> str:

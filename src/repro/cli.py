@@ -181,10 +181,10 @@ def _cmd_profile(args) -> int:
                       f"{r['delta_self_ms']:>+9.2f}")
         else:
             print("profiles are identical on every path")
-        if not base.get("deterministic", False) \
-                or not head.get("deterministic", False):
-            # Wall-clock documents are machine-speed evidence, not
-            # gateable metrics: show the diff, skip the gate.
+        if not base["deterministic"] or not head["deterministic"]:
+            # Wall-clock documents (``repro trace --json``) are
+            # machine-speed evidence, not gateable metrics: show the
+            # diff, skip the gate.
             print("wall-clock profile(s): self-time p50 gate skipped "
                   "(diff shown for evidence only)")
             return 0
@@ -205,12 +205,9 @@ def _cmd_profile(args) -> int:
         return 0
 
     from .obs import profile_document
-    profiler.NN_E2E_MODE = args.nn_e2e_mode
     targets = profiler.resolve_targets(args.targets)
-    profile = profiler.capture_profile(targets, shards=args.shards,
-                                       wallclock=args.wallclock)
-    doc = profile_document(profile, targets=targets,
-                           deterministic=not args.wallclock)
+    profile = profiler.capture_profile(targets, shards=args.shards)
+    doc = profile_document(profile, targets=targets)
     print(render_profile(profile, top=args.top))
     out = args.out if args.out else os.path.join(
         profiler.DEFAULT_OUT_DIR, "PROFILE_head.json")
@@ -299,8 +296,7 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_bench_track(args) -> int:
     from .bench import trajectory
-    suite = trajectory.run_suite(n_frames=args.frames,
-                                 wallclock=args.wallclock)
+    suite = trajectory.run_suite(n_frames=args.frames)
     path = trajectory.write_point(args.out_dir, args.label, suite)
     print(f"trajectory point: {path}")
     for probe, snap in sorted(suite.items()):
@@ -645,10 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for shardable probes; "
                              "profiles are byte-identical for any "
                              "shard count")
-    prof_p.add_argument("--wallclock", action="store_true",
-                        help="profile with the real clock instead of "
-                             "the deterministic tick clock (machine-"
-                             "dependent; never regression-gated)")
     prof_p.add_argument("--diff", nargs=2, default=None,
                         metavar=("BASE.json", "HEAD.json"),
                         help="compare two profile documents; exit "
@@ -659,13 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--min-self-ms", type=float, default=2.0,
                         help="gate only paths whose baseline self-"
                              "time p50 is at least this (default 2)")
-    prof_p.add_argument("--nn-e2e-mode", default="both",
-                        choices=("both", "unfused", "fused"),
-                        help="nn_forward_e2e probe mode: 'both' runs "
-                             "the pipelines side by side; 'unfused'/"
-                             "'fused' run one mode with identical span "
-                             "paths so two captures diff on common "
-                             "paths (default both)")
 
     mon_p = sub.add_parser(
         "monitor", help="replay an experiment's telemetry as a "
@@ -707,10 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="frames per latency probe")
     track_p.add_argument("--max-regress-pct", type=float, default=10.0,
                          help="p99 regression tolerance in percent")
-    track_p.add_argument("--wallclock", action="store_true",
-                         help="add the fleet shard-scaling wall-clock "
-                              "probes (machine-dependent; never "
-                              "regression-gated)")
 
     serve_p = sub.add_parser(
         "serve-sim", help="run the dynamic-batching serving simulator")

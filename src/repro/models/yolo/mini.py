@@ -96,8 +96,7 @@ class MiniYolo:
 
     # -- eval-time folding -------------------------------------------------
 
-    def fuse(self, workspace: bool = True, backend: str = "gemm",
-             blas_threads: Optional[int] = None) -> None:
+    def fuse(self, workspace: bool = True, backend: str = "gemm") -> None:
         """Fold Conv→BN(+SiLU) chains for fast eval forwards.
 
         Subsequent ``forward(training=False)`` calls run through the
@@ -106,8 +105,7 @@ class MiniYolo:
         automatically so the fused weights track the checkpoint.
         """
         ws = Workspace() if workspace else None
-        self._fused = self.net.fuse(workspace=ws, backend=backend,
-                                    blas_threads=blas_threads)
+        self._fused = self.net.fuse(workspace=ws, backend=backend)
 
     @property
     def fused(self) -> bool:
@@ -192,8 +190,7 @@ class MiniYolo:
             # Re-fold from the restored parameters; the previous fold
             # captured pre-checkpoint weights.
             self.fuse(workspace=self._fused.workspace is not None,
-                      backend=self._fused.backend,
-                      blas_threads=self._fused.blas_threads)
+                      backend=self._fused.backend)
 
 
 def build_mini_yolo(family: str, variant: str, seed: int = 7,

@@ -60,11 +60,6 @@ from .layers import (
 from .network import Sequential
 from .workspace import Workspace
 
-try:  # optional: BLAS thread pinning for the fused eval path
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - environment-dependent
-    threadpool_limits = None
-
 #: Backends for the fused convolution arithmetic.
 BACKENDS = ("gemm", "einsum")
 
@@ -374,22 +369,16 @@ class FusedSequential(Sequential):
 
     def __init__(self, layers, name: str = "net-fused",
                  workspace: Optional[Workspace] = None,
-                 backend: str = "gemm",
-                 blas_threads: Optional[int] = None) -> None:
+                 backend: str = "gemm") -> None:
         super().__init__(layers, name=name)
         self.workspace = workspace
         self.backend = backend
-        self.blas_threads = blas_threads
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if training:
             raise ModelError(
                 "fused network is eval-only; call forward(training=False) "
                 "or train the unfused source network")
-        if self.blas_threads is not None and threadpool_limits is not None:
-            with threadpool_limits(limits=self.blas_threads,
-                                   user_api="blas"):
-                return super().forward(x, training=False)
         return super().forward(x, training=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -438,16 +427,14 @@ def _fuse_block(layer: Layer, ws: Optional[Workspace],
 
 
 def fuse_eval(net: Sequential, workspace: Optional[Workspace] = None,
-              backend: str = "gemm",
-              blas_threads: Optional[int] = None) -> FusedSequential:
+              backend: str = "gemm") -> FusedSequential:
     """Fold ``net`` into an eval-only :class:`FusedSequential`.
 
     Scans the flat layer list for Conv→BN(→act) and BN(→act) chains,
     recurses into the composite YOLO blocks, and passes everything else
     through unchanged.  ``workspace`` (shared by every fused conv) turns
     on the arena-backed blocked im2col path; ``backend`` picks the GEMM
-    formulation; ``blas_threads`` pins the BLAS pool per forward (needs
-    ``threadpoolctl``).
+    formulation.
 
     The source network is left untouched — folding copies parameters, so
     continued training of ``net`` never corrupts the fused graph (but
@@ -456,14 +443,6 @@ def fuse_eval(net: Sequential, workspace: Optional[Workspace] = None,
     if backend not in BACKENDS:
         raise ConfigError(
             f"unknown fuse backend {backend!r}; known: {BACKENDS}")
-    if blas_threads is not None:
-        if blas_threads < 1:
-            raise ConfigError(
-                f"blas_threads must be >= 1, got {blas_threads}")
-        if threadpool_limits is None:
-            raise ConfigError(
-                "blas_threads requires threadpoolctl, which is not "
-                "installed; omit the knob to use the default pool")
     src = net.layers
     fused: List[Layer] = []
     i = 0
@@ -499,5 +478,4 @@ def fuse_eval(net: Sequential, workspace: Optional[Workspace] = None,
         fused.append(layer)
         i += 1
     return FusedSequential(fused, name=f"{net.name}-fused",
-                           workspace=workspace, backend=backend,
-                           blas_threads=blas_threads)
+                           workspace=workspace, backend=backend)

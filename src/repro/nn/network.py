@@ -96,16 +96,14 @@ class Sequential(Layer):
 
     # -- eval-time folding -------------------------------------------------
 
-    def fuse(self, workspace=None, backend: str = "gemm",
-             blas_threads: Optional[int] = None):
+    def fuse(self, workspace=None, backend: str = "gemm"):
         """Eval-only folded copy of this network (Conv→BN, act epilogues).
 
         Thin wrapper over :func:`repro.nn.fuse.fuse_eval`; the source
         network is left untouched and stays trainable.
         """
         from .fuse import fuse_eval
-        return fuse_eval(self, workspace=workspace, backend=backend,
-                         blas_threads=blas_threads)
+        return fuse_eval(self, workspace=workspace, backend=backend)
 
 
 def count_parameters(net: Layer) -> int:

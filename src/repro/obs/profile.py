@@ -15,9 +15,9 @@ golden-able artifacts a CI gate can byte-compare:
   machine-independent, byte-identical run to run, and (with
   :meth:`~repro.obs.tracer.Tracer.adopt`'s read-advancement contract
   plus :meth:`TickClock.spawn` propagation into ``parallel_map``
-  workers) identical for any worker/shard count.  Real profiling is
-  still available by capturing with the default wall clock; such
-  profiles are marked non-deterministic and never regression-gated.
+  workers) identical for any worker/shard count.  Wall-clock
+  documents (``repro trace --json``) are marked non-deterministic and
+  never regression-gated.
 * **Mergeable per-path stats.**  :class:`PathStats` carries count,
   inclusive ("total") and exclusive ("self") time plus a
   :class:`~repro.obs.sketch.QuantileSketch` of per-occurrence self
@@ -366,6 +366,11 @@ def load_profile_document(doc: dict) -> dict:
         raise SerializationError(
             f"unsupported profile schema {doc.get('schema')!r} "
             f"(expected {PROFILE_SCHEMA})")
+    # The gate trusts this flag: a string "false" must not pass as true.
+    if not isinstance(doc.get("deterministic"), bool):
+        raise SerializationError(
+            f"profile field 'deterministic' must be a bool, got "
+            f"{doc.get('deterministic')!r}")
     for path, row in doc["paths"].items():
         _check_path_row(path, row)
     return doc
@@ -459,14 +464,13 @@ def profile_regressions(
     """
     if max_regress_pct < 0:
         raise ConfigError("regression tolerance must be >= 0")
-    if not base.get("deterministic", False) \
-            or not head.get("deterministic", False):
-        raise ConfigError(
-            "refusing to gate non-deterministic (wall-clock) "
-            "profiles; capture both sides without --wallclock")
-    out: List[dict] = []
     base_paths = load_profile_document(base)["paths"]
     head_paths = load_profile_document(head)["paths"]
+    if not base["deterministic"] or not head["deterministic"]:
+        raise ConfigError(
+            "refusing to gate non-deterministic (wall-clock) "
+            "profiles; capture both sides with `repro profile`")
+    out: List[dict] = []
     for path in sorted(base_paths):
         h = head_paths.get(path)
         if h is None:

@@ -239,20 +239,3 @@ class TestWorkspace:
         out = model.forward(_images(n=1), training=False)
         assert out.shape[0] == 1
 
-
-class TestBlasThreadsKnob:
-    def test_invalid_count_rejected(self):
-        net = Sequential([Conv2d(3, 4, 3, rng=RNG)], name="c")
-        with pytest.raises(ConfigError):
-            fuse_eval(net, blas_threads=0)
-
-    def test_knob_gated_on_threadpoolctl(self):
-        from repro.nn import fuse as fuse_mod
-        net = Sequential([Conv2d(3, 4, 3, rng=RNG)], name="c")
-        if fuse_mod.threadpool_limits is None:
-            with pytest.raises(ConfigError):
-                fuse_eval(net, blas_threads=2)
-        else:
-            fused = fuse_eval(net, blas_threads=2)
-            fused.forward(RNG.normal(size=(1, 3, 8, 8))
-                          .astype(np.float32), training=False)

@@ -419,6 +419,17 @@ class TestBenchTrack:
                      str(out_dir), "--frames", "40"]) == 0
         assert "no p99 regression" in capsys.readouterr().out
 
+    def test_committed_baseline_is_fresh(self):
+        """Rerunning the suite reproduces the committed baseline: the
+        gate compares only probes present in both points, so a probe
+        missing from the baseline would go silently ungated."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        point = trajectory.load_point(trajectory.point_path(
+            os.path.join(root, trajectory.DEFAULT_OUT_DIR), "baseline"))
+        suite = trajectory.run_suite()
+        assert suite == point["suite"]
+        assert [p for p in suite if "wallclock" in p] == []
+
     def test_previous_point_prefers_baseline(self, tmp_path):
         out_dir = str(tmp_path)
         trajectory.write_point(out_dir, "2026-01-01", {})

@@ -219,11 +219,6 @@ class TestDeterminism:
             docs.append(dumps_json(profile_document(prof)))
         assert docs[0] == docs[1]
 
-    def test_wallclock_capture_is_marked_ungateable(self):
-        doc = profiler.capture_document(["nn_forward"],
-                                        wallclock=True)
-        assert doc["deterministic"] is False
-
     def test_unknown_target_rejected(self):
         with pytest.raises(BenchmarkError):
             profiler.resolve_targets(["no_such_target"])
@@ -319,6 +314,22 @@ class TestExports:
         for key in SUMMARY_FIELDS:
             doc["paths"]["a"][key] = None
         assert load_profile_document(doc) is doc
+
+    def test_deterministic_flag_must_be_a_bool(self):
+        """The gate branches on ``deterministic``: a missing flag or a
+        string ``"false"`` must be rejected, not read as truthy."""
+        doc = profile_document(self._profile(), targets=["x"])
+        for value in ("false", "true", 0, 1, None):
+            bad = dict(doc, deterministic=value)
+            with pytest.raises(SerializationError,
+                               match="'deterministic'"):
+                load_profile_document(bad)
+        bad = dict(doc)
+        del bad["deterministic"]
+        with pytest.raises(SerializationError, match="'deterministic'"):
+            load_profile_document(bad)
+        with pytest.raises(SerializationError, match="'deterministic'"):
+            profile_regressions(dict(doc, deterministic="false"), doc)
 
 
 class TestDiffGate:

@@ -94,11 +94,11 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   regressions in the batcher or the admission path trip the p99 gate
   too, plus the merged e2e tail of the cell-sharded fleet
   (``fleet/merged_e2e@4c``, golden-safe because the merge is
-  shard-count invariant).  ``--wallclock`` adds the
-  ``fleet/shard_wallclock@{1,4}w`` probes — real elapsed time for the
-  same fleet at 1 vs 4 worker shards; being machine-speed
-  measurements they are never regression-gated and should not be
-  committed in the baseline.
+  shard-count invariant).  The ``nn/clock_reads@{unfused,fused}``
+  probes (and ``nn/clock_reads_{span}@…`` per span) count the
+  instrumented clock reads of a mini-YOLO eval forward under the tick
+  clock: they gate span structure, not speed.  Wall-clock speed is
+  measured only by ``perfbench/run.py``'s interleaved A/B.
 
 * ``python -m repro serve-sim [--streams N --policy P --check]`` runs
   the dynamic-batching serving simulator (``repro.serving``,
